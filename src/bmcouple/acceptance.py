@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import smallmat
 from .couplings import (
     COUPLED,
     INDEPENDENT,
     RotationCoupling,
+    _aligned_frame,
+    _batched_fixed_distance,
+    _rodrigues_apply,
+    distance_drift,
     feasible_rate_interval,
     make_strategy,
 )
@@ -52,39 +55,66 @@ def _start_pair(space: ModelSpace, rho0: float):
 # -- 1: algebra ---------------------------------------------------------------------
 
 
+def fixed_distance_residuals(x, y, j, k):
+    """Per-pair absolute residuals of the three fixed-distance equations
+
+        x' J y = c tr(J) - 1 - c^2
+        x' J x + y' J y - c y' J x = tr(J) - 2 c
+        J J' + K K' = I
+
+    for stacked unit vectors x, y (n, 3) and driver matrices J, K (n, 3, 3)."""
+    c = np.sum(x * y, axis=-1)
+    tr = np.trace(j, axis1=-2, axis2=-1)
+    jx = np.einsum("nij,nj->ni", j, x)
+    jy = np.einsum("nij,nj->ni", j, y)
+    r1 = np.abs(np.sum(x * jy, axis=-1) - (c * tr - 1.0 - c * c))
+    r2 = np.abs(
+        np.sum(x * jx, axis=-1) + np.sum(y * jy, axis=-1) - c * np.sum(y * jx, axis=-1) - (tr - 2.0 * c)
+    )
+    gram = j @ j.swapaxes(-1, -2) + k @ k.swapaxes(-1, -2)
+    r3 = np.max(np.abs(gram - np.eye(3)), axis=(-2, -1))
+    return r1, r2, r3
+
+
 def algebra_suite(n_pairs: int = 10_000, n_alpha: int = 1000, seed: int = 3001) -> dict:
+    """The 2-sphere constructions the coupling moves use, on random unit pairs,
+    and the rotation coupling's angle against its rate equation."""
     rng = np.random.default_rng(seed)
-    worst_rot = worst_align = worst_resid = worst_norm = 0.0
+    x = rng.standard_normal((n_pairs, 3))
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    y = rng.standard_normal((n_pairs, 3))
+    y /= np.linalg.norm(y, axis=-1, keepdims=True)
     eye = np.eye(3)
-    for _ in range(n_pairs):
-        x = rng.standard_normal(3)
-        x /= np.linalg.norm(x)
-        y = rng.standard_normal(3)
-        y /= np.linalg.norm(y)
-        rot = smallmat.rodrigues_rotation(x, y)
-        worst_rot = max(
-            worst_rot,
-            float(np.max(np.abs(rot.T @ rot - eye))),
-            float(np.max(np.abs(rot @ x - y))),
-        )
-        o = smallmat.frame_align(x, y)
-        c = float(x @ y)
-        worst_align = max(
-            worst_align,
-            float(np.max(np.abs(o.T @ o - eye))),
-            float(np.max(np.abs(o[:, 0] - x))),
-            float(np.max(np.abs(o @ np.array([c, np.sqrt(1 - c * c), 0.0]) - y))),
-        )
-        j, k = smallmat.fixed_distance_matrices(x, y)
-        worst_resid = max(worst_resid, *smallmat.fixed_distance_residuals(x, y, j, k))
-        worst_norm = max(worst_norm, float(np.linalg.norm(j, 2)))
+
+    # columns R e_i of the rotation taking x to y
+    rot = np.stack([_rodrigues_apply(x, y, np.broadcast_to(e, x.shape)) for e in eye], axis=-1)
+    worst_rot = max(
+        float(np.max(np.abs(rot.swapaxes(-1, -2) @ rot - eye))),
+        float(np.max(np.abs(_rodrigues_apply(x, y, x) - y))),
+    )
+    o = _aligned_frame(x, y)
+    c = np.sum(x * y, axis=-1)
+    aligned_y = np.stack([c, np.sqrt(1.0 - c * c), np.zeros_like(c)], axis=-1)
+    worst_align = max(
+        float(np.max(np.abs(o.swapaxes(-1, -2) @ o - eye))),
+        float(np.max(np.abs(o[:, :, 0] - x))),
+        float(np.max(np.abs(np.einsum("nij,nj->ni", o, aligned_y) - y))),
+    )
+    j, k = _batched_fixed_distance(x, y)
+    worst_resid = max(float(np.max(r)) for r in fixed_distance_residuals(x, y, j, k))
+    worst_norm = float(np.max(np.linalg.norm(j, ord=2, axis=(-2, -1))))
+
+    # the angle must make the distance drift -k rho / 2 for every feasible rate
+    spaces = [ModelSpace(r, d) for r in (-1, 0, 1) for d in (2, 3, 5)]
     worst_alpha = 0.0
     for _ in range(n_alpha):
-        a = -rng.uniform(0.5, 4.0)
-        c = rng.uniform(0.95 * a, -1e-3)
-        b = rng.uniform(-3.0, 3.0)
-        alpha = smallmat.solve_alpha(a, b, c)
-        worst_alpha = max(worst_alpha, abs(a * np.cos(alpha) + b * np.sin(alpha) - c))
+        space = spaces[rng.integers(len(spaces))]
+        rho = rng.uniform(0.1, 3.0)
+        rate = rng.uniform(*feasible_rate_interval(space, rho))
+        alpha = RotationCoupling(space, k=rate)._alpha(np.array([rho]))
+        target = -rate * rho / 2.0
+        err = abs(float(distance_drift(space, alpha, rho)[0]) - target) / max(1.0, abs(target))
+        worst_alpha = max(worst_alpha, err)
     lines = [
         _line("rodrigues orthogonality and mapping", worst_rot < 1e-12, f"max dev {worst_rot:.3e}"),
         _line("frame alignment identities", worst_align < 1e-12, f"max dev {worst_align:.3e}"),
@@ -98,7 +128,7 @@ def algebra_suite(n_pairs: int = 10_000, n_alpha: int = 1000, seed: int = 3001) 
             worst_norm <= 1.0 + 1e-12,
             f"max |J|_op {worst_norm:.15f}",
         ),
-        _line("angle solver residuals", worst_alpha < 1e-12, f"max residual {worst_alpha:.3e}"),
+        _line("angle solver residuals", worst_alpha < 1e-12, f"max rel residual {worst_alpha:.3e}"),
     ]
     return _suite("algebra", lines)
 

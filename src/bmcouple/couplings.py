@@ -227,20 +227,33 @@ class MirrorS2(CouplingStrategy):
 # -- extrinsic rotating couplings on the 2-sphere ---------------------------------
 
 
-def _batched_rodrigues(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rotation matrices taking x rows to y rows (unnormalized-axis form), with
-    the +/-I limits at (anti)parallel pairs."""
-    c = np.sum(x * y, axis=-1)
-    eye = np.eye(3)
-    cross = y[:, :, None] * x[:, None, :] - x[:, :, None] * y[:, None, :]
+def _rodrigues_apply(x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Apply the rotation taking each x row to its y row to the matching v row.
+
+    The rotation turns about x cross y (left unnormalized, which absorbs the
+    sine of the angle) by the angle between x and y.  Near-antiparallel pairs
+    (x.y < -0.5) apply the same rotation as the product of two reflections,
+    without the ill-conditioned 1/(1+c) term; (anti)parallel pairs get the
+    +/-I limits.
+    """
+    c = np.sum(x * y, axis=-1, keepdims=True)
+    xv = np.sum(x * v, axis=-1, keepdims=True)
+    far = c < -0.5
     u = np.cross(x, y)
-    denom = np.where(np.abs(1.0 + c) < 1e-15, 1.0, 1.0 + c)
     general = (
-        c[:, None, None] * eye + cross + u[:, :, None] * u[:, None, :] / denom[:, None, None]
+        c * v
+        + xv * y
+        - np.sum(y * v, axis=-1, keepdims=True) * x
+        + np.sum(u * v, axis=-1, keepdims=True) / np.where(far, 1.0, 1.0 + c) * u
     )
-    out = np.where((c >= 1.0 - 1e-12)[:, None, None], eye, general)
-    out = np.where((c <= -1.0 + 1e-12)[:, None, None], -eye, out)
-    return out
+    mid = x + y
+    mid_norm = np.linalg.norm(mid, axis=-1, keepdims=True)
+    mid /= np.where(mid_norm > 0.0, mid_norm, 1.0)
+    w = v - 2.0 * xv * x
+    reflected = w - 2.0 * np.sum(mid * w, axis=-1, keepdims=True) * mid
+    out = np.where(far, reflected, general)
+    out = np.where(c >= 1.0 - 1e-12, v, out)
+    return np.where(c <= -1.0 + 1e-12, -v, out)
 
 
 class ExtrinsicContractS2(CouplingStrategy):
@@ -266,8 +279,7 @@ class ExtrinsicContractS2(CouplingStrategy):
 
     def move(self, x, y, gp, ga, h, cache):
         x_new = stroock_step(x, gp, h)
-        rot = _batched_rodrigues(x, y)
-        moved = y + np.einsum("nij,nj->ni", rot, x_new - x)
+        moved = y + _rodrigues_apply(x, y, x_new - x)
         y_new = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
         return x_new, y_new, cache
 
@@ -297,8 +309,7 @@ class ExtrinsicExpandS2(CouplingStrategy):
 
     def move(self, x, y, gp, ga, h, cache):
         x_new = stroock_step(x, gp, h)
-        rot = _batched_rodrigues(x, -y)
-        moved = y - np.einsum("nij,nj->ni", rot, x_new - x)
+        moved = y - _rodrigues_apply(x, -y, x_new - x)
         y_new = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
         return x_new, y_new, cache
 
@@ -306,17 +317,31 @@ class ExtrinsicExpandS2(CouplingStrategy):
 # -- fixed-distance coupling on the 2-sphere --------------------------------------
 
 
+def _aligned_frame(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-path orthogonal O with O e1 = x and O (c e1 + sqrt(1-c^2) e2) = y,
+    c = x.y, and third column x cross (second column).
+
+    The second column is y - c x, projected off x once more and normalized by
+    its computed norm, so the columns stay orthonormal to machine precision
+    even for nearly parallel pairs.
+    """
+    c = np.sum(x * y, axis=-1, keepdims=True)
+    col = y - c * x
+    col -= np.sum(col * x, axis=-1, keepdims=True) * x
+    col /= np.linalg.norm(col, axis=-1, keepdims=True)
+    return np.stack([x, col, np.cross(x, col)], axis=-1)
+
+
 def _batched_fixed_distance(x: np.ndarray, y: np.ndarray):
-    """Per-path (J, K) driver matrices keeping |X - Y| constant."""
+    """Per-path (J, K) driver matrices keeping |X - Y| constant: minimal-norm
+    blocks in the aligned frame, conjugated back (the equations they solve are
+    in acceptance.fixed_distance_residuals)."""
     c = np.sum(x * y, axis=-1)
     if np.any(np.abs(c) >= 1.0 - 1e-10):
         raise DegenerateInputError("fixed-distance driver undefined at (anti)parallel points")
     s = np.sqrt(1.0 - c * c)
     n = x.shape[0]
-    o = np.empty((n, 3, 3))
-    o[:, :, 0] = x
-    o[:, :, 1] = (y - c[:, None] * x) / s[:, None]
-    o[:, :, 2] = np.cross(x, y) / s[:, None]
+    o = _aligned_frame(x, y)
     jt = np.zeros((n, 3, 3))
     kt = np.zeros((n, 3, 3))
     jt[:, 0, 1] = -s
@@ -325,9 +350,8 @@ def _batched_fixed_distance(x: np.ndarray, y: np.ndarray):
     kt[:, 0, 1] = c
     kt[:, 1, 1] = s
     kt[:, 2, 2] = s
-    j = np.einsum("nij,njk,nlk->nil", o, jt, o)
-    k = np.einsum("nij,njk,nlk->nil", o, kt, o)
-    return j, k
+    ot = o.swapaxes(-1, -2)
+    return o @ jt @ ot, o @ kt @ ot
 
 
 class FixedDistanceS2(CouplingStrategy):
@@ -681,17 +705,21 @@ class PatchedCoupling(CouplingStrategy):
 
 # -- registry -------------------------------------------------------------------------
 
-STRATEGY_IDS = (
-    "translation",
-    "mirror-s2",
-    "extrinsic-contract-s2",
-    "extrinsic-expand-s2",
-    "fixed-s2",
-    "rotation",
-    "so3-flow",
-    "independent",
-    "broken-marginal",
-)
+STRATEGIES = {
+    cls.strategy_id: cls
+    for cls in (
+        TranslationCoupling,
+        MirrorS2,
+        ExtrinsicContractS2,
+        ExtrinsicExpandS2,
+        FixedDistanceS2,
+        RotationCoupling,
+        So3FlowCoupling,
+        IndependentCoupling,
+        BrokenMarginalS2,
+    )
+}
+STRATEGY_IDS = tuple(STRATEGIES)
 
 
 def make_strategy(
@@ -702,24 +730,15 @@ def make_strategy(
     eps: Optional[float] = None,
 ) -> CouplingStrategy:
     """Build a strategy from its stable id; eps switches on cut-locus patching."""
-    if strategy_id not in STRATEGY_IDS:
+    if strategy_id not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy_id!r}; known: {', '.join(STRATEGY_IDS)}")
-    if strategy_id == "rotation":
+    cls = STRATEGIES[strategy_id]
+    if cls is RotationCoupling:
         inner: CouplingStrategy = RotationCoupling(space, k=k, alpha_override=alpha_override)
     else:
         if k is not None or alpha_override is not None:
             raise DomainError(f"strategy {strategy_id!r} takes no k / alpha-override parameters")
-        table = {
-            "translation": TranslationCoupling,
-            "mirror-s2": MirrorS2,
-            "extrinsic-contract-s2": ExtrinsicContractS2,
-            "extrinsic-expand-s2": ExtrinsicExpandS2,
-            "fixed-s2": FixedDistanceS2,
-            "so3-flow": So3FlowCoupling,
-            "independent": IndependentCoupling,
-            "broken-marginal": BrokenMarginalS2,
-        }
-        inner = table[strategy_id](space)
+        inner = cls(space)
     if eps is None:
         return inner
     return PatchedCoupling(inner, eps)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CouplingConstraintError, DomainError, StepTooLargeError
-from .smallmat import check_driver_pair
 from .spaces import ModelSpace
 
 
@@ -46,19 +45,6 @@ class StepNoise:
 
     primary: np.ndarray
     auxiliary: np.ndarray | None = None
-
-
-def path_noise_block(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
-    """Stacked per-path noise, shape (n_paths, n_steps, dim).
-
-    Path p's slice depends only on (seed, p), so any partition of the paths
-    over workers reproduces the same trajectories.
-    """
-    path_ids = list(path_ids)
-    out = np.empty((len(path_ids), n_steps, dim))
-    for row, pid in enumerate(path_ids):
-        out[row] = NoiseStream(seed, pid).standard_normal((n_steps, dim))
-    return out
 
 
 # -- one-step integrators -----------------------------------------------------
@@ -105,13 +91,10 @@ def kendall_compose(j, k, db, dc) -> np.ndarray:
     """
     j = np.asarray(j, float)
     k = np.asarray(k, float)
-    if j.ndim == 2:
-        check_driver_pair(j, k)
-    else:
-        gram = np.einsum("...ij,...kj->...ik", j, j) + np.einsum("...ij,...kj->...ik", k, k)
-        resid = np.max(np.abs(gram - np.eye(j.shape[-1])))
-        if resid > 1e-10:
-            raise CouplingConstraintError(f"J J' + K K' deviates from I by {resid:.3e}")
+    gram = np.einsum("...ij,...kj->...ik", j, j) + np.einsum("...ij,...kj->...ik", k, k)
+    resid = np.max(np.abs(gram - np.eye(j.shape[-1])))
+    if resid > 1e-10:
+        raise CouplingConstraintError(f"J J' + K K' deviates from I by {resid:.3e}")
     return np.einsum("...ij,...j->...i", j, np.asarray(db, float)) + np.einsum(
         "...ij,...j->...i", k, np.asarray(dc, float)
     )

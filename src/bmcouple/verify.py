@@ -160,6 +160,39 @@ def law_chordal_expand(sum_norm0: float) -> DistanceLaw:
     )
 
 
+# Builders of the laws a run can be compared against, by law id; each takes
+# the space, the start distance, both start points and the rate k.
+LAWS = {
+    "fixed": lambda space, rho0, x0, y0, k: law_fixed(rho0),
+    "exponential-rate": lambda space, rho0, x0, y0, k: law_exponential_rate(rho0, k),
+    "sphere-synchronous": lambda space, rho0, x0, y0, k: law_synchronous(space, rho0),
+    "hyperbolic-synchronous": lambda space, rho0, x0, y0, k: law_synchronous(space, rho0),
+    "flat-perverse": lambda space, rho0, x0, y0, k: law_perverse(space, rho0),
+    "sphere-perverse": lambda space, rho0, x0, y0, k: law_perverse(space, rho0),
+    "hyperbolic-perverse": lambda space, rho0, x0, y0, k: law_perverse(space, rho0),
+    "chordal-contract": lambda space, rho0, x0, y0, k: law_chordal_contract(float(np.linalg.norm(y0 - x0))),
+    "chordal-expand": lambda space, rho0, x0, y0, k: law_chordal_expand(float(np.linalg.norm(y0 + x0))),
+}
+
+
+def build_law(name: str, space: ModelSpace, x0, y0, k: float = 0.0) -> DistanceLaw:
+    """The law ``name`` for a pair started at (x0, y0) on ``space``.
+
+    Raises DomainError for an unknown name, and for a name that does not fit
+    the space (e.g. sphere-perverse on hyperbolic space builds the
+    hyperbolic-perverse law).
+    """
+    if name not in LAWS:
+        raise DomainError(f"unknown law {name!r}; known: {', '.join(sorted(LAWS))}")
+    law = LAWS[name](space, float(space.distance(x0, y0)), x0, y0, k)
+    if law.law_id != name:
+        raise DomainError(
+            f"law {name!r} does not apply to curvature {space.curvature:+d}; "
+            f"this space has {law.law_id!r}"
+        )
+    return law
+
+
 def law_eval(law: DistanceLaw, t) -> np.ndarray:
     return law.evaluate(np.asarray(t, float))
 
@@ -185,6 +218,10 @@ def validate_law(law: DistanceLaw, t_final: float, n_steps: int = 20000) -> floa
 
 
 # -- simulation versus law ------------------------------------------------------
+
+# Largest sup-time deviation of the ensemble-mean observable from its law
+# that counts as agreement.
+LAW_TOL = 0.02
 
 
 @dataclass
@@ -254,7 +291,7 @@ def distance_law_check(
     # converge, and the per-path chain, which scales like sqrt(h), carries
     # the order information instead.
     def chain_ok(errors, fitted):
-        return errors[-1] < 0.02 and (fitted >= 0.4 or max(errors) < 1e-12)
+        return errors[-1] < LAW_TOL and (fitted >= 0.4 or max(errors) < 1e-12)
 
     return {
         "strategy": strategy.strategy_id,

@@ -29,6 +29,12 @@ def test_01_algebra_suite():
     report(algebra_suite(n_pairs=10_000, n_alpha=1000))
 
 
+def test_01_algebra_suite_seed_sweep():
+    # the gates are tight (1e-12); they must hold on every seed, not just the committed one
+    failed = [seed for seed in range(3001, 3021) if not algebra_suite(seed=seed)["pass"]]
+    assert not failed, f"algebra suite failed at seeds {failed}"
+
+
 def test_02_index_form_suite():
     report(index_form_suite())
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bmcouple.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, SimConfig, main
+from bmcouple.verify import LAW_TOL
 
 
 def read(path):
@@ -43,6 +44,42 @@ class TestSimulate:
         summary = json.loads(read(tmp_path / "summary.json"))
         assert summary["law"] == "fixed"
         assert summary["sup_err"][0] < 1e-12
+        assert summary["pass"] is True
+
+    def test_pass_reflects_law_error(self, tmp_path):
+        # the independent pair drifts apart, so it must not pass against the fixed law
+        base = [
+            "simulate", "--space", "sphere:2", "--strategy", "independent",
+            "--rho0", "1.0", "--h", "1e-2", "--T", "0.5", "--paths", "50", "--seed", "7",
+        ]
+        code = main(base + ["--law", "fixed", "--out", str(tmp_path / "law")])
+        assert code == EXIT_OK
+        summary = json.loads(read(tmp_path / "law" / "summary.json"))
+        assert summary["sup_err"][0] > LAW_TOL
+        assert summary["pass"] is False
+        # without a law nothing was checked
+        assert main(base + ["--out", str(tmp_path / "none")]) == EXIT_OK
+        assert json.loads(read(tmp_path / "none" / "summary.json"))["pass"] is None
+
+    def test_law_of_another_space_is_config_error(self, tmp_path):
+        code = main(
+            [
+                "simulate", "--space", "hyperbolic:2", "--strategy", "rotation",
+                "--alpha-override", str(np.pi), "--law", "sphere-perverse",
+                "--h", "1e-2", "--T", "0.1", "--paths", "2", "--out", str(tmp_path),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_fixed_distance_from_small_start(self, tmp_path):
+        code = main(
+            [
+                "simulate", "--strategy", "fixed-s2", "--rho0", "1e-3", "--h", "1e-3",
+                "--T", "0.05", "--paths", "20", "--out", str(tmp_path),
+            ]
+        )
+        assert code == EXIT_OK
 
     def test_zero_paths_is_config_error(self, tmp_path):
         code = main(

@@ -144,7 +144,7 @@ class TestExtrinsicPair:
 class TestFixedDistance:
     def test_batched_matrices_match_scalar(self):
         from bmcouple.couplings import _batched_fixed_distance
-        from bmcouple.smallmat import fixed_distance_matrices
+        from smallmat import fixed_distance_matrices
 
         rng = np.random.default_rng(25)
         x = rng.standard_normal((50, 3))
@@ -160,17 +160,36 @@ class TestFixedDistance:
             assert np.max(np.abs(k[row] - ks)) < 1e-10
 
     def test_batched_rodrigues_matches_scalar(self):
-        from bmcouple.couplings import _batched_rodrigues
-        from bmcouple.smallmat import rodrigues_rotation
+        from bmcouple.couplings import _rodrigues_apply
+        from smallmat import rodrigues_rotation
 
         rng = np.random.default_rng(26)
         x = rng.standard_normal((50, 3))
         x /= np.linalg.norm(x, axis=-1, keepdims=True)
         y = rng.standard_normal((50, 3))
         y /= np.linalg.norm(y, axis=-1, keepdims=True)
-        batched = _batched_rodrigues(x, y)
+        # the last rows are (anti)parallel pairs, which take the +/-I limits
+        y[-2], y[-1] = x[-2], -x[-1]
+        v = rng.standard_normal((50, 3))
+        batched = _rodrigues_apply(x, y, v)
         for row in range(50):
-            assert np.max(np.abs(batched[row] - rodrigues_rotation(x[row], y[row]))) < 1e-10
+            expected = rodrigues_rotation(x[row], y[row]) @ v[row]
+            assert np.max(np.abs(batched[row] - expected)) < 1e-10
+
+    @pytest.mark.parametrize("rho0", [1e-3, 1e-4, 3e-5])
+    def test_small_start_distance_stays_fixed(self, rho0):
+        # the aligned frame is renormalized by its computed norm, so J J' + K K' = I
+        # holds to roundoff even when x and y are nearly parallel
+        strategy = make_strategy("fixed-s2", S2)
+        n = 200
+        record = run_paths(
+            strategy, S2.base_point(), S2.point_at_distance(rho0),
+            h=1e-3, t_final=0.5, n_paths=n, seed=1, record_stride=50,
+        )
+        rel = record.rho[1:] / rho0 - 1.0
+        se = np.std(rel, axis=1, ddof=1) / np.sqrt(n)
+        assert np.max(np.abs(np.mean(rel, axis=1)) / se) < 3.0
+        assert np.max(np.abs(rel)) < 0.2
 
     def test_start_at_antipode_rejected(self):
         strategy = make_strategy("fixed-s2", S2)

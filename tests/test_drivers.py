@@ -5,7 +5,6 @@ from bmcouple.drivers import (
     NoiseStream,
     geodesic_walk_step,
     kendall_compose,
-    path_noise_block,
     reorthonormalize_rotation,
     so3_exp,
     so3_flow_step,
@@ -14,9 +13,9 @@ from bmcouple.drivers import (
     walk_linear_factor,
 )
 from bmcouple.errors import CouplingConstraintError, DomainError, StepTooLargeError
-from bmcouple.smallmat import fixed_distance_matrices
 from bmcouple.spaces import ModelSpace
 from bmcouple.verify import convergence_order_fit
+from smallmat import fixed_distance_matrices
 
 
 class TestNoiseStream:
@@ -37,11 +36,6 @@ class TestNoiseStream:
         noise = NoiseStream(5).step_noise(4)
         assert noise.primary.shape == (4,)
         assert noise.auxiliary is None
-
-    def test_path_block_matches_per_path_streams(self):
-        block = path_noise_block(99, range(3), 20, 4)
-        for pid in range(3):
-            assert np.array_equal(block[pid], NoiseStream(99, pid).standard_normal((20, 4)))
 
 
 class TestStroockStep:

@@ -1,13 +1,11 @@
+"""The scalar oracles of the 2-sphere constructions (tests/smallmat.py)."""
+
 import numpy as np
 import pytest
+import smallmat as sm
 
-from bmcouple import smallmat as sm
-from bmcouple.errors import (
-    CouplingConstraintError,
-    DegenerateInputError,
-    DomainError,
-    InfeasibleRateError,
-)
+from bmcouple.acceptance import fixed_distance_residuals
+from bmcouple.errors import DegenerateInputError, DomainError
 
 E1, E2, E3 = np.eye(3)
 
@@ -73,9 +71,10 @@ class TestFrameAlign:
 
 class TestFixedDistanceMatrices:
     def test_perpendicular_blocks(self):
-        jt, kt = sm.fixed_distance_blocks(0.0)
-        assert np.array_equal(jt, np.array([[0, -1, 0], [0, 0, 0], [0, 0, 0]], dtype=float))
-        assert np.array_equal(kt, np.array([[0, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float))
+        # the canonical perpendicular pair is already aligned: J and K are the blocks
+        j, k = sm.fixed_distance_matrices(E1, E2)
+        assert np.array_equal(j, np.array([[0, -1, 0], [0, 0, 0], [0, 0, 0]], dtype=float))
+        assert np.array_equal(k, np.array([[0, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float))
 
     def test_residuals_and_norm_on_random_pairs(self):
         rng = np.random.default_rng(23)
@@ -84,133 +83,10 @@ class TestFixedDistanceMatrices:
             if abs(x @ y) > 1.0 - 1e-6:
                 continue
             j, k = sm.fixed_distance_matrices(x, y)
-            r1, r2, r3 = sm.fixed_distance_residuals(x, y, j, k)
-            assert max(r1, r2, r3) < 1e-10
+            residuals = fixed_distance_residuals(x[None], y[None], j[None], k[None])
+            assert max(float(r[0]) for r in residuals) < 1e-10
             assert np.linalg.norm(j, 2) <= 1.0 + 1e-12
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(DegenerateInputError):
             sm.fixed_distance_matrices(E1, -E1)
-
-    def test_driver_pair_check(self):
-        with pytest.raises(CouplingConstraintError):
-            sm.check_driver_pair(np.eye(3), np.eye(3))
-
-
-class TestSolveAlpha:
-    def test_known_value(self):
-        assert sm.solve_alpha(-2.0, 0.0, -1.0) == pytest.approx(5 * np.pi / 3, abs=1e-12)
-
-    def test_boundary_case_residual(self):
-        # a == c forces cos(alpha) = 1
-        alpha = sm.solve_alpha(-1.0, 0.0, -1.0)
-        assert abs(-np.cos(alpha) + 1.0) < 1e-12
-
-    def test_single_case_residual(self):
-        alpha = sm.solve_alpha(-1.0, 1.0, -0.5)
-        assert abs(-np.cos(alpha) + np.sin(alpha) + 0.5) < 1e-12
-
-    def test_residual_grid(self):
-        rng = np.random.default_rng(5)
-        for _ in range(1000):
-            a = -rng.uniform(0.2, 5.0)
-            c = rng.uniform(0.999 * a, -1e-6)
-            b = rng.uniform(-4.0, 4.0)
-            alpha = sm.solve_alpha(a, b, c)
-            assert 0.0 <= alpha < 2 * np.pi
-            assert abs(a * np.cos(alpha) + b * np.sin(alpha) - c) < 1e-12
-
-    def test_infeasible_rejected(self):
-        with pytest.raises(InfeasibleRateError):
-            sm.solve_alpha(-1.0, 0.0, -3.0)
-
-
-class TestBlockRotation:
-    def test_zero_angle(self):
-        assert np.array_equal(sm.block_rotation(2, 0.0), np.eye(3))
-
-    def test_quarter_angle_block(self):
-        expected = np.array([[1, 0, 0], [0, 0, 1], [0, -1, 0]], dtype=float)
-        assert np.allclose(sm.block_rotation(2, np.pi / 2), expected, atol=1e-15)
-
-    @pytest.mark.parametrize("n,alpha", [(2, 0.3), (4, 1.2), (6, -2.0), (4, np.pi)])
-    def test_orthogonality(self, n, alpha):
-        b = sm.block_rotation(n, alpha)
-        assert np.max(np.abs(b @ b.T - np.eye(n + 1))) < 1e-15
-        assert np.allclose(b[:, 0], np.eye(n + 1)[:, 0])
-
-    def test_without_fixed_first(self):
-        b = sm.block_rotation(4, 0.7, fixed_first=False)
-        assert b.shape == (4, 4)
-        assert np.max(np.abs(b @ b.T - np.eye(4))) < 1e-15
-
-    def test_odd_count_rejected(self):
-        with pytest.raises(DomainError):
-            sm.block_rotation(3, 0.1)
-
-
-class TestCompleteFrame:
-    def test_standard_pair(self):
-        assert np.allclose(sm.complete_frame(np.eye(3)[:2]), E3)
-
-    def test_shifted_pair_orientation(self):
-        assert np.allclose(sm.complete_frame(np.eye(3)[1:]), E1)
-
-    def test_random_frames(self):
-        rng = np.random.default_rng(3)
-        for dim in (2, 3, 4):
-            for _ in range(200):
-                mat = np.linalg.qr(rng.standard_normal((dim + 1, dim + 1)))[0]
-                vs = mat[:, :dim].T
-                out = sm.complete_frame(vs)
-                assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-                assert np.max(np.abs(vs @ out)) < 1e-12
-                assert np.linalg.det(np.column_stack([vs.T, out])) > 0.0
-
-    def test_rotation_equivariance(self):
-        rng = np.random.default_rng(17)
-        vs = np.linalg.qr(rng.standard_normal((4, 4)))[0][:, :3].T
-        rot = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        if np.linalg.det(rot) < 0:
-            rot[:, 0] = -rot[:, 0]
-        direct = sm.complete_frame(vs @ rot.T)
-        rotated = rot @ sm.complete_frame(vs)
-        assert np.allclose(direct, rotated, atol=1e-10)
-
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            sm.complete_frame(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-
-
-class TestNFrame:
-    def test_invariant_enforced(self):
-        with pytest.raises(DomainError):
-            sm.NFrame(base=np.zeros(3), mat=np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_square_alignment_is_transpose(self):
-        rng = np.random.default_rng(2)
-        mat = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        frame = sm.NFrame(base=np.zeros(4), mat=mat)
-        assert np.allclose(sm.frame_alignment_matrix(frame), mat.T)
-
-    def test_rectangular_alignment_orthogonal(self):
-        rng = np.random.default_rng(4)
-        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        frame = sm.NFrame(base=np.zeros(4), mat=q[:3].copy())
-        align = sm.frame_alignment_matrix(frame)
-        assert align.shape == (4, 4)
-        assert np.max(np.abs(align.T @ align - np.eye(4))) < 1e-12
-        for j in range(3):
-            assert np.allclose(align[:, j], frame.mat[j])
-
-    def test_frame_reconstructs_vectors(self):
-        # sum_i <xi, X_i> X_i = xi for the frame vectors X_i = U e_i
-        rng = np.random.default_rng(6)
-        for n_drive in (3, 4, 5):
-            q = np.linalg.qr(rng.standard_normal((n_drive, n_drive)))[0]
-            frame = sm.NFrame(base=np.zeros(4), mat=q[:3].copy())
-            xi = rng.standard_normal(3)
-            rebuilt = sum(
-                (xi @ frame.mat[:, i]) * frame.mat[:, i] for i in range(frame.drive_dim)
-            )
-            assert np.allclose(rebuilt, xi, atol=1e-12)
