@@ -14,8 +14,8 @@ from .couplings import (
     COUPLED,
     INDEPENDENT,
     RotationCoupling,
-    _aligned_frame,
-    _batched_fixed_distance,
+    _aligned_direction,
+    _fixed_distance_noise,
     _rodrigues_apply,
     distance_drift,
     feasible_rate_interval,
@@ -76,6 +76,16 @@ def fixed_distance_residuals(x, y, j, k):
     return r1, r2, r3
 
 
+def fixed_distance_columns(x, y):
+    """Driver matrices J and K (n, 3, 3) of the fixed-distance coupling, read
+    off the noise map column by column: J e_i = map(e_i, 0), K e_i = map(0, e_i)."""
+    zero = np.zeros_like(x)
+    units = [np.broadcast_to(u, x.shape) for u in np.eye(3)]
+    j = np.stack([_fixed_distance_noise(x, y, u, zero) for u in units], axis=-1)
+    k = np.stack([_fixed_distance_noise(x, y, zero, u) for u in units], axis=-1)
+    return j, k
+
+
 def algebra_suite(n_pairs: int = 10_000, n_alpha: int = 1000, seed: int = 3001) -> dict:
     """The 2-sphere constructions the coupling moves use, on random unit pairs,
     and the rotation coupling's angle against its rate equation."""
@@ -92,15 +102,13 @@ def algebra_suite(n_pairs: int = 10_000, n_alpha: int = 1000, seed: int = 3001) 
         float(np.max(np.abs(rot.swapaxes(-1, -2) @ rot - eye))),
         float(np.max(np.abs(_rodrigues_apply(x, y, x) - y))),
     )
-    o = _aligned_frame(x, y)
-    c = np.sum(x * y, axis=-1)
-    aligned_y = np.stack([c, np.sqrt(1.0 - c * c), np.zeros_like(c)], axis=-1)
+    c, e = _aligned_direction(x, y)
     worst_align = max(
-        float(np.max(np.abs(o.swapaxes(-1, -2) @ o - eye))),
-        float(np.max(np.abs(o[:, :, 0] - x))),
-        float(np.max(np.abs(np.einsum("nij,nj->ni", o, aligned_y) - y))),
+        float(np.max(np.abs(np.sum(e * e, axis=-1) - 1.0))),
+        float(np.max(np.abs(np.sum(x * e, axis=-1)))),
+        float(np.max(np.abs(c[:, None] * x + np.sqrt(1.0 - c * c)[:, None] * e - y))),
     )
-    j, k = _batched_fixed_distance(x, y)
+    j, k = fixed_distance_columns(x, y)
     worst_resid = max(float(np.max(r)) for r in fixed_distance_residuals(x, y, j, k))
     worst_norm = float(np.max(np.linalg.norm(j, ord=2, axis=(-2, -1))))
 

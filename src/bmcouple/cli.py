@@ -115,7 +115,7 @@ def cmd_simulate(config: SimConfig) -> int:
         eps=config.eps,
     )
     x0, y0 = _start_points(config, space)
-    law = None if config.law is None else build_law(config.law, space, x0, y0, config.k or 0.0)
+    law = None if config.law is None else build_law(config.law, space, x0, y0, config.k)
     record = run_paths(
         strategy,
         x0,
@@ -147,7 +147,7 @@ def cmd_simulate(config: SimConfig) -> int:
     csv_path = os.path.join(out_dir, "trajectories.csv")
     json_path = os.path.join(out_dir, "summary.json")
     with open(csv_path, "w") as handle:
-        handle.write(record.to_csv())
+        record.to_csv(handle)
     with open(json_path, "w") as handle:
         handle.write(json.dumps(summary, sort_keys=True) + "\n")
     final_rho = record.rho[-1]

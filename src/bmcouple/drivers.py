@@ -86,18 +86,25 @@ def geodesic_walk_step(space: ModelSpace, x, noise, h: float, frame) -> np.ndarr
 def kendall_compose(j, k, db, dc) -> np.ndarray:
     """Driver increment J dB + K dC of the composed coupling representation.
 
-    J and K may carry leading batch axes; the pair must satisfy
-    J J' + K K' = I within 1e-10.
+    J and K are (..., d, d) matrices, or arrays with one axis fewer than dB
+    whose entries stand for those multiples of the identity (the mixing
+    c dB + s dC of two independent drivers).  They may carry leading batch
+    axes; the pair must satisfy J J' + K K' = I within 1e-10.
     """
     j = np.asarray(j, float)
     k = np.asarray(k, float)
-    gram = np.einsum("...ij,...kj->...ik", j, j) + np.einsum("...ij,...kj->...ik", k, k)
-    resid = np.max(np.abs(gram - np.eye(j.shape[-1])))
+    db = np.asarray(db, float)
+    dc = np.asarray(dc, float)
+    if j.ndim < db.ndim:
+        resid = np.max(np.abs(j * j + k * k - 1.0))
+        out = j[..., None] * db + k[..., None] * dc
+    else:
+        gram = np.einsum("...ij,...kj->...ik", j, j) + np.einsum("...ij,...kj->...ik", k, k)
+        resid = np.max(np.abs(gram - np.eye(j.shape[-1])))
+        out = np.einsum("...ij,...j->...i", j, db) + np.einsum("...ij,...j->...i", k, dc)
     if resid > 1e-10:
         raise CouplingConstraintError(f"J J' + K K' deviates from I by {resid:.3e}")
-    return np.einsum("...ij,...j->...i", j, np.asarray(db, float)) + np.einsum(
-        "...ij,...j->...i", k, np.asarray(dc, float)
-    )
+    return out
 
 
 def so3_exp(omega) -> np.ndarray:

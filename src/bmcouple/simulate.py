@@ -7,7 +7,6 @@ paths are chunked over worker threads.
 
 from __future__ import annotations
 
-import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -43,14 +42,14 @@ class TrajectoryRecord:
     def n_paths(self) -> int:
         return self.rho.shape[1]
 
-    def to_csv(self) -> str:
-        """Long-format CSV; repr of Python floats round-trips the IEEE values."""
-        buf = io.StringIO()
-        buf.write("t,rho,regime,path_id\n")
+    def to_csv(self, handle) -> None:
+        """Write the long-format CSV to the open text file ``handle``, one
+        chunk per path; repr of Python floats round-trips the IEEE values."""
+        handle.write("t,rho,regime,path_id\n")
+        times = [f"{t!r}," for t in self.times.tolist()]
         for j in range(self.n_paths):
-            for i, t in enumerate(self.times):
-                buf.write(f"{float(t)!r},{float(self.rho[i, j])!r},{int(self.regime[i, j])},{j}\n")
-        return buf.getvalue()
+            rows = zip(times, self.rho[:, j].tolist(), self.regime[:, j].tolist())
+            handle.write("".join([t + repr(r) + f",{g},{j}\n" for t, r, g in rows]))
 
 
 def _chunk_ranges(n_paths: int, n_chunks: int):

@@ -160,27 +160,42 @@ def law_chordal_expand(sum_norm0: float) -> DistanceLaw:
     )
 
 
+def _given_rate(k):
+    if k is None:
+        raise DomainError("law 'exponential-rate' needs a rate k")
+    return k
+
+
+def _sphere2_chord(space, v):
+    """|v| for a chordal law, which holds on the 2-sphere only."""
+    if (space.curvature, space.dim) != (1, 2):
+        raise DomainError("the chordal laws apply to the 2-sphere only")
+    return float(np.linalg.norm(v))
+
+
 # Builders of the laws a run can be compared against, by law id; each takes
-# the space, the start distance, both start points and the rate k.
+# the space, the start distance, both start points and the rate k (None when
+# no rate was given).
 LAWS = {
     "fixed": lambda space, rho0, x0, y0, k: law_fixed(rho0),
-    "exponential-rate": lambda space, rho0, x0, y0, k: law_exponential_rate(rho0, k),
+    "exponential-rate": lambda space, rho0, x0, y0, k: law_exponential_rate(rho0, _given_rate(k)),
     "sphere-synchronous": lambda space, rho0, x0, y0, k: law_synchronous(space, rho0),
     "hyperbolic-synchronous": lambda space, rho0, x0, y0, k: law_synchronous(space, rho0),
     "flat-perverse": lambda space, rho0, x0, y0, k: law_perverse(space, rho0),
     "sphere-perverse": lambda space, rho0, x0, y0, k: law_perverse(space, rho0),
     "hyperbolic-perverse": lambda space, rho0, x0, y0, k: law_perverse(space, rho0),
-    "chordal-contract": lambda space, rho0, x0, y0, k: law_chordal_contract(float(np.linalg.norm(y0 - x0))),
-    "chordal-expand": lambda space, rho0, x0, y0, k: law_chordal_expand(float(np.linalg.norm(y0 + x0))),
+    "chordal-contract": lambda space, rho0, x0, y0, k: law_chordal_contract(_sphere2_chord(space, y0 - x0)),
+    "chordal-expand": lambda space, rho0, x0, y0, k: law_chordal_expand(_sphere2_chord(space, y0 + x0)),
 }
 
 
-def build_law(name: str, space: ModelSpace, x0, y0, k: float = 0.0) -> DistanceLaw:
+def build_law(name: str, space: ModelSpace, x0, y0, k: float | None = None) -> DistanceLaw:
     """The law ``name`` for a pair started at (x0, y0) on ``space``.
 
-    Raises DomainError for an unknown name, and for a name that does not fit
-    the space (e.g. sphere-perverse on hyperbolic space builds the
-    hyperbolic-perverse law).
+    Raises DomainError for an unknown name; for a name that does not fit the
+    space (e.g. sphere-perverse on hyperbolic space builds the
+    hyperbolic-perverse law, and the chordal laws are those of the extrinsic
+    2-sphere couplings); and for exponential-rate without a rate k.
     """
     if name not in LAWS:
         raise DomainError(f"unknown law {name!r}; known: {', '.join(sorted(LAWS))}")

@@ -1,6 +1,7 @@
 """Scalar 3x3 constructions of the 2-sphere couplings, kept as test oracles.
 
-The library runs only the batched versions in ``bmcouple.couplings``; these
+The library runs only batched versions in ``bmcouple.couplings``, where the
+fixed-distance driver is a closed-form noise map that forms no matrix; these
 one-pair versions are written independently (explicit outer products, one
 pair at a time) so the tests can compare the two.
 """

@@ -72,6 +72,31 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("law", ["chordal-contract", "chordal-expand"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_chordal_law_off_the_2_sphere_is_config_error(self, tmp_path, law):
+        # the law is refused before it is built: chordal-expand would take
+        # the square root of 4 - |x + y|^2 < 0 on the hyperboloid
+        code = main(
+            [
+                "simulate", "--space", "hyperbolic:2", "--strategy", "rotation",
+                "--alpha-override", "0", "--law", law,
+                "--h", "1e-2", "--T", "0.1", "--paths", "2", "--out", str(tmp_path),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_rate_law_without_rate_is_config_error(self, tmp_path):
+        # fixed-s2 keeps the distance fixed, which a rate-0 law would pass
+        law = ["--law", "exponential-rate", "--h", "1e-2", "--T", "0.1", "--paths", "2"]
+        code = main(["simulate", "--strategy", "fixed-s2", *law, "--out", str(tmp_path / "none")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "none" / "summary.json").exists()
+        code = main(["simulate", "--strategy", "rotation", "--k", "0.5", *law, "--out", str(tmp_path / "k")])
+        assert code == EXIT_OK
+        assert json.loads(read(tmp_path / "k" / "summary.json"))["law"] == "exponential-rate"
+
     def test_fixed_distance_from_small_start(self, tmp_path):
         code = main(
             [

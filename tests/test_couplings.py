@@ -13,6 +13,7 @@ from bmcouple.couplings import (
 )
 from bmcouple.drivers import NoiseStream, StepNoise
 from bmcouple.errors import (
+    CouplingConstraintError,
     CutLocusError,
     DegenerateInputError,
     DomainError,
@@ -23,6 +24,14 @@ from bmcouple.spaces import ModelSpace, gen_cos, gen_sin
 
 S2 = ModelSpace.sphere(2)
 FLAT2 = ModelSpace.euclidean(2)
+
+
+def _random_pairs(rng, n):
+    x = rng.standard_normal((n, 3))
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    y = rng.standard_normal((n, 3))
+    y /= np.linalg.norm(y, axis=-1, keepdims=True)
+    return x, y
 
 
 def step_many(strategy, x0, y0, n_paths, h, n_steps, seed=0):
@@ -143,21 +152,57 @@ class TestExtrinsicPair:
 
 class TestFixedDistance:
     def test_batched_matrices_match_scalar(self):
-        from bmcouple.couplings import _batched_fixed_distance
+        # the map is linear in (gp, ga), so its J and K columns pin it down
+        from bmcouple.acceptance import fixed_distance_columns
         from smallmat import fixed_distance_matrices
 
-        rng = np.random.default_rng(25)
-        x = rng.standard_normal((50, 3))
-        x /= np.linalg.norm(x, axis=-1, keepdims=True)
-        y = rng.standard_normal((50, 3))
-        y /= np.linalg.norm(y, axis=-1, keepdims=True)
-        keep = np.abs(np.sum(x * y, axis=-1)) < 0.99
-        x, y = x[keep], y[keep]
-        j, k = _batched_fixed_distance(x, y)
+        x, y = _random_pairs(np.random.default_rng(25), 200)
+        j, k = fixed_distance_columns(x, y)
         for row in range(x.shape[0]):
             js, ks = fixed_distance_matrices(x[row], y[row])
-            assert np.max(np.abs(j[row] - js)) < 1e-10
-            assert np.max(np.abs(k[row] - ks)) < 1e-10
+            assert np.max(np.abs(j[row] - js)) < 1e-13
+            assert np.max(np.abs(k[row] - ks)) < 1e-13
+
+    @staticmethod
+    def _oracle_noise(x, y, gp, ga):
+        from bmcouple.drivers import kendall_compose
+        from smallmat import fixed_distance_matrices
+
+        return np.array(
+            [kendall_compose(*fixed_distance_matrices(x[i], y[i]), gp[i], ga[i]) for i in range(len(x))]
+        )
+
+    @pytest.mark.parametrize("rho", [1e-3, 1e-4, 3e-5])
+    def test_noise_map_matches_oracle_near_parallel(self, rho):
+        # both sides divide roundoff in y - c x by its norm ~ rho; over 20 seeds
+        # of 200 pairs the largest disagreement was 6.8e-16 / rho
+        from bmcouple.couplings import _fixed_distance_noise
+
+        rng = np.random.default_rng(28)
+        x, _ = _random_pairs(rng, 200)
+        t = rng.standard_normal((200, 3))
+        t -= np.sum(t * x, axis=-1, keepdims=True) * x
+        t /= np.linalg.norm(t, axis=-1, keepdims=True)
+        y = np.cos(rho) * x + np.sin(rho) * t
+        gp, ga = rng.standard_normal((2, 200, 3))
+        expected = self._oracle_noise(x, y, gp, ga)
+        assert np.max(np.abs(_fixed_distance_noise(x, y, gp, ga) - expected)) < 2e-15 / rho
+
+    def test_point_off_sphere_violates_constraint(self):
+        strategy = make_strategy("fixed-s2", S2)
+        state = strategy.initial_state(S2.base_point(), S2.point_at_distance(1.0), 3)
+        state.x[1] *= 1.0 + 1e-8
+        with pytest.raises(CouplingConstraintError):
+            strategy.step(state, NoiseStream(3).step_noise(3, 3, n=3), 1e-3)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_noise_map_rejects_parallel_pairs(self, sign):
+        from bmcouple.couplings import _fixed_distance_noise
+
+        x, y = _random_pairs(np.random.default_rng(29), 4)
+        y[2] = sign * x[2]
+        with pytest.raises(DegenerateInputError):
+            _fixed_distance_noise(x, y, x, y)
 
     def test_batched_rodrigues_matches_scalar(self):
         from bmcouple.couplings import _rodrigues_apply

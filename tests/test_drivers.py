@@ -130,6 +130,16 @@ class TestKendallCompose:
         with pytest.raises(CouplingConstraintError):
             kendall_compose(np.eye(3), np.eye(3), np.zeros(3), np.zeros(3))
 
+    def test_scalar_weights_are_multiples_of_identity(self):
+        rng = np.random.default_rng(9)
+        c = np.cos(rng.uniform(0.0, np.pi, 5))
+        s = np.sqrt(1.0 - c * c)
+        db, dc = rng.standard_normal((2, 5, 3))
+        as_matrices = kendall_compose(c[:, None, None] * np.eye(3), s[:, None, None] * np.eye(3), db, dc)
+        assert np.max(np.abs(kendall_compose(c, s, db, dc) - as_matrices)) < 1e-15
+        with pytest.raises(CouplingConstraintError):
+            kendall_compose(c, s + 1e-6, db, dc)
+
     def test_output_covariance_is_identity(self):
         rng = np.random.default_rng(8)
         x = np.array([1.0, 0.0, 0.0])

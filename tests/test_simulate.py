@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 
 from bmcouple.couplings import make_strategy
@@ -54,16 +56,49 @@ def test_record_shapes_and_times():
     assert xs.shape == (24, 3) and ys.shape == (24, 3)
 
 
+def _csv_oracle(record) -> str:
+    """The row-at-a-time CSV formatter the streaming writer must reproduce."""
+    lines = ["t,rho,regime,path_id\n"]
+    for j in range(record.n_paths):
+        for i, t in enumerate(record.times):
+            lines.append(f"{float(t)!r},{float(record.rho[i, j])!r},{int(record.regime[i, j])},{j}\n")
+    return "".join(lines)
+
+
+def _csv_file_bytes(record, path) -> bytes:
+    with open(path, "w") as handle:
+        record.to_csv(handle)
+    return path.read_bytes()
+
+
 def test_csv_format_roundtrip():
     record = _run(record_stride=25)
-    text = record.to_csv()
-    lines = text.strip().split("\n")
+    buf = io.StringIO()
+    record.to_csv(buf)
+    lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "t,rho,regime,path_id"
     assert len(lines) == 1 + len(record.times) * record.n_paths
     t, rho, regime, pid = lines[1].split(",")
     assert float(t) == record.times[0]
     assert float(rho) == record.rho[0, 0]  # repr round-trips exactly
     assert regime == "0" and pid == "0"
+
+
+def test_csv_matches_row_formatter_with_both_regimes(tmp_path):
+    # starts inside the cut-locus zone (independent, regime 1) and re-couples
+    strategy = make_strategy("fixed-s2", S2, eps=0.3)
+    record = run_paths(strategy, S2.base_point(), S2.point_at_distance(np.pi - 0.25),
+                       h=1e-2, t_final=0.5, n_paths=20, seed=5)
+    assert np.any(record.regime == 1) and np.any(record.regime == 0)
+    assert _csv_file_bytes(record, tmp_path / "t.csv") == _csv_oracle(record).encode()
+
+
+def test_csv_matches_row_formatter_with_exponent_times(tmp_path):
+    record = run_paths(make_strategy("fixed-s2", S2), S2.base_point(), S2.point_at_distance(1.0),
+                       h=1e-5, t_final=2e-4, n_paths=3, seed=5)
+    text = _csv_oracle(record)
+    assert "\n1e-05," in text
+    assert _csv_file_bytes(record, tmp_path / "t.csv") == text.encode()
 
 
 def test_long_noise_window_chunking():
