@@ -292,27 +292,10 @@ def _merge_sim_config(args) -> SimConfig:
         config = SimConfig()
     if args.seed is None and args.config is None and SEED_ENV_VAR in os.environ:
         config.seed = int(os.environ[SEED_ENV_VAR])
-    for name in (
-        "space",
-        "strategy",
-        "rho0",
-        "x0",
-        "y0",
-        "k",
-        "alpha_override",
-        "eps",
-        "h",
-        "t_final",
-        "paths",
-        "seed",
-        "record_stride",
-        "threads",
-        "law",
-        "out",
-    ):
-        value = getattr(args, name)
+    for f in fields(SimConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            setattr(config, name, value)
+            setattr(config, f.name, value)
     return config
 
 

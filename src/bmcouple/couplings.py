@@ -41,7 +41,8 @@ MEET_TOL = 1e-12
 class CouplingState:
     """Ensemble state of a coupled pair: time, both point arrays (n, ambient),
     per-path regime flags and strategy-owned cache (rebuilt or carried as the
-    strategy requires)."""
+    strategy requires).  Every cache value is a writable array with a leading
+    path axis: the stepping loop gathers and scatters the running paths' rows."""
 
     t: float
     x: np.ndarray
@@ -98,6 +99,10 @@ class CouplingStrategy:
 
     def validate_start(self, x, y) -> None:
         pass
+
+    def validate_run(self, x0, y0, times) -> None:
+        """Reject, before any noise is drawn, a run the strategy cannot
+        sustain up to the last of its step times."""
 
     def init_cache(self, x, y) -> dict:
         return {}
@@ -553,6 +558,13 @@ class RotationCoupling(CouplingStrategy):
             raise CutLocusError("start points must not be antipodal")
         if self.k is not None:
             self._alpha(rho)
+
+    def validate_run(self, x0, y0, times) -> None:
+        # a rate fixes the law rho0 exp(-k t / 2); its angle must exist along it
+        if self.k is not None:
+            decay = np.exp(-0.5 * self.k * np.asarray(times, float))
+            for rho0 in np.unique(self.space.distance(x0, y0)):
+                self._alpha(rho0 * decay)
 
     def _alpha(self, rho: np.ndarray) -> np.ndarray:
         if self.alpha_override is not None:

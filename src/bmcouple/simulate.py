@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .couplings import CouplingStrategy
+from .couplings import CouplingState, CouplingStrategy
 from .drivers import NoiseStream, StepNoise
 from .errors import DomainError
 
-NOISE_WINDOW = 4096  # max steps of noise pre-generated per path chunk
+NOISE_WINDOW = 256  # max steps of noise pre-generated per path chunk
 NOISE_BUDGET = 25_000_000  # max pre-generated doubles per chunk (~200 MB)
 
 
@@ -57,13 +57,57 @@ def _chunk_ranges(n_paths: int, n_chunks: int):
     return [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
-def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapshot_idx):
+def _take(state: CouplingState, rows) -> CouplingState:
+    """The sub-ensemble of the given rows (cache values carry a path axis)."""
+    cache = {key: value[rows] for key, value in state.cache.items()}
+    return CouplingState(state.t, state.x[rows], state.y[rows], state.regime[rows], cache)
+
+
+def _put(state: CouplingState, rows, part: CouplingState) -> None:
+    """Write the sub-ensemble ``part`` back into ``state`` at ``rows``."""
+    state.t = part.t
+    state.x[rows] = part.x
+    state.y[rows] = part.y
+    state.regime[rows] = part.regime
+    for key, value in part.cache.items():
+        state.cache[key][rows] = value
+
+
+def _crossing_fraction(f_old, f_new):
+    return np.where(f_new < 0.0, f_old / np.maximum(f_old - f_new, 1e-300), 1.0)
+
+
+def _stop_at_crossing(space, stop, old: CouplingState, new: CouplingState) -> np.ndarray:
+    """Mask of the paths that left the domain stop >= 0 during this step.
+
+    Both points of such a path move back to the linear sub-step crossing, at
+    the earlier of the two crossing fractions, projected onto the space.
+    """
+    fx_old, fy_old = stop(old.x), stop(old.y)
+    fx_new, fy_new = stop(new.x), stop(new.y)
+    crossed = (fx_new < 0.0) | (fy_new < 0.0)
+    if np.any(crossed):
+        hit = np.flatnonzero(crossed)
+        theta = np.minimum(
+            _crossing_fraction(fx_old[hit], fx_new[hit]),
+            _crossing_fraction(fy_old[hit], fy_new[hit]),
+        )[:, None]
+        new.x[hit] = space.project_point(old.x[hit] + theta * (new.x[hit] - old.x[hit]))
+        new.y[hit] = space.project_point(old.y[hit] + theta * (new.y[hit] - old.y[hit]))
+    return crossed
+
+
+def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapshot_idx, stop=None):
     n = len(path_ids)
     state = strategy.initial_state(x0, y0, n)
+    if stop is not None and (np.any(stop(state.x) < 0.0) or np.any(stop(state.y) < 0.0)):
+        raise DomainError("start points must lie inside the stop domain")
     p_dim = strategy.primary_dim
     a_dim = strategy.aux_dim
     total = p_dim + a_dim
     streams = [NoiseStream(seed, pid) for pid in path_ids]
+    running = np.ones(n, dtype=bool)
+    n_running = n
 
     n_rec = len(record_idx)
     rho = np.empty((n_rec, n))
@@ -85,19 +129,41 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
     record(0, state)
     step = 0
     max_window = max(1, min(NOISE_WINDOW, NOISE_BUDGET // max(1, n * total)))
-    while step < n_steps:
+    while step < n_steps and n_running:
+        # noise only for the paths still running at the window start
         window = min(max_window, n_steps - step)
-        block = np.empty((n, window, total))
-        for row, stream in enumerate(streams):
-            block[row] = stream.standard_normal((window, total))
+        live = np.flatnonzero(running)
+        block = np.empty((live.size, window, total))
+        for row, pid in enumerate(live):
+            block[row] = streams[pid].standard_normal((window, total))
         for i in range(window):
+            # step only the running rows; skip the gather while all run
+            if n_running == n:
+                sel, rows, sub = slice(None), live, state
+            else:
+                sel = np.flatnonzero(running[live])
+                rows = live[sel]
+                sub = _take(state, rows)
             noise = StepNoise(
-                primary=block[:, i, :p_dim],
-                auxiliary=block[:, i, p_dim:] if a_dim else None,
+                primary=block[sel, i, :p_dim],
+                auxiliary=block[sel, i, p_dim:] if a_dim else None,
             )
-            state = strategy.step(state, noise, h)
+            new = strategy.step(sub, noise, h)
+            ended = None if stop is None else _stop_at_crossing(strategy.space, stop, sub, new)
+            if sub is state:
+                state = new
+            else:
+                _put(state, rows, new)
             step += 1
             record(step, state)
+            if ended is not None and np.any(ended):
+                running[rows[ended]] = False
+                n_running -= int(np.count_nonzero(ended))
+                if not n_running:
+                    break
+    # once every path has stopped, later samples repeat the stop points
+    for index in range(step + 1, n_steps + 1):
+        record(index, state)
     return rho, chord, regime, snapshots
 
 
@@ -113,12 +179,16 @@ def run_paths(
     record_stride: int = 1,
     snapshot_times=(),
     threads: int = 1,
+    stop=None,
 ) -> TrajectoryRecord:
     """Simulate n_paths independent trajectories of the coupled pair.
 
     Samples are recorded every ``record_stride`` steps (always including t=0
     and the final time); ``snapshot_times`` asks for full point ensembles at
-    the nearest step times.
+    the nearest step times.  ``stop`` maps an (n, ambient) point array to one
+    value per row, negative outside the domain: a path stops at the first
+    step after which X or Y is outside, at the sub-step crossing, and keeps
+    that pair in every later sample.
     """
     if h <= 0.0 or t_final <= 0.0:
         raise DomainError("step size and horizon must be positive")
@@ -127,10 +197,11 @@ def run_paths(
     n_steps = max(1, int(round(t_final / h)))
     record_idx = sorted(set(range(0, n_steps + 1, record_stride)) | {n_steps})
     snapshot_idx = {min(n_steps, int(round(t / h))) for t in snapshot_times}
+    strategy.validate_run(x0, y0, np.arange(n_steps + 1) * h)
 
     ranges = _chunk_ranges(n_paths, max(1, threads))
     jobs = [
-        (strategy, x0, y0, h, n_steps, seed, range(lo, hi), record_idx, snapshot_idx)
+        (strategy, x0, y0, h, n_steps, seed, range(lo, hi), record_idx, snapshot_idx, stop)
         for lo, hi in ranges
     ]
     if len(jobs) == 1 or threads <= 1:

@@ -81,11 +81,6 @@ class ModelSpace:
         if resid > POINT_TOL:
             raise DomainError(f"point constraint residual {resid:.3e} exceeds {POINT_TOL}")
 
-    def check_tangent(self, x, v, tol: float = POINT_TOL) -> None:
-        pairing = np.abs(self.metric_dot(np.asarray(x, float), np.asarray(v, float)))
-        if np.max(pairing, initial=0.0) > tol:
-            raise DomainError(f"tangency residual {np.max(pairing):.3e} exceeds {tol}")
-
     def project_point(self, x) -> np.ndarray:
         """Renormalize onto the model constraint (no-op for Euclidean space)."""
         x = np.asarray(x, float)

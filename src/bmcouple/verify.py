@@ -536,82 +536,6 @@ def _cap_point(polar_angle: float) -> np.ndarray:
     return np.array([np.sin(polar_angle), 0.0, np.cos(polar_angle)])
 
 
-def _stopped_u_values(
-    strategy, x0, y0, u, boundary_level, h, t_max, n_paths, seed, window: int = 256
-):
-    """Simulate the coupling until either particle crosses the cap boundary
-    (linear sub-step interpolation) or t_max, and return u at the stopped pair.
-
-    Noise is drawn in windows for the paths still running at the window start,
-    so each path consumes its own stream deterministically.
-    """
-    from .drivers import NoiseStream
-
-    n_steps = int(round(t_max / h))
-    state = strategy.initial_state(x0, y0, n_paths)
-    xs, ys = state.x, state.y
-    streams = [NoiseStream(seed, pid) for pid in range(n_paths)]
-    p_dim, a_dim = strategy.primary_dim, strategy.aux_dim
-    total = p_dim + a_dim
-    active = np.ones(n_paths, dtype=bool)
-    ux = np.empty(n_paths)
-    uy = np.empty(n_paths)
-
-    step = 0
-    while step < n_steps and np.any(active):
-        idx = np.flatnonzero(active)
-        w = min(window, n_steps - step)
-        block = np.empty((idx.size, w, total))
-        for row, pid in enumerate(idx):
-            block[row] = streams[pid].standard_normal((w, total))
-        x_loc = xs[idx]
-        y_loc = ys[idx]
-        running = np.ones(idx.size, dtype=bool)
-        for i in range(w):
-            rows = np.flatnonzero(running)
-            if rows.size == 0:
-                break
-            gp = block[rows, i, :p_dim]
-            ga = block[rows, i, p_dim:] if a_dim else None
-            x_new, y_new, _ = strategy.move(x_loc[rows], y_loc[rows], gp, ga, h, {})
-            fx_old = x_loc[rows, 2] - boundary_level
-            fy_old = y_loc[rows, 2] - boundary_level
-            fx_new = x_new[:, 2] - boundary_level
-            fy_new = y_new[:, 2] - boundary_level
-            crossed = (fx_new < 0.0) | (fy_new < 0.0)
-            if np.any(crossed):
-                hit = np.flatnonzero(crossed)
-                theta_x = np.where(
-                    fx_new[hit] < 0.0,
-                    fx_old[hit] / np.maximum(fx_old[hit] - fx_new[hit], 1e-300),
-                    1.0,
-                )
-                theta_y = np.where(
-                    fy_new[hit] < 0.0,
-                    fy_old[hit] / np.maximum(fy_old[hit] - fy_new[hit], 1e-300),
-                    1.0,
-                )
-                theta = np.minimum(theta_x, theta_y)[:, None]
-                xin = x_loc[rows[hit]] + theta * (x_new[hit] - x_loc[rows[hit]])
-                yin = y_loc[rows[hit]] + theta * (y_new[hit] - y_loc[rows[hit]])
-                xin /= np.linalg.norm(xin, axis=-1, keepdims=True)
-                yin /= np.linalg.norm(yin, axis=-1, keepdims=True)
-                stopped = idx[rows[hit]]
-                ux[stopped] = u(xin)
-                uy[stopped] = u(yin)
-                active[stopped] = False
-                running[rows[hit]] = False
-            x_loc[rows] = x_new
-            y_loc[rows] = y_new
-        xs[idx] = x_loc
-        ys[idx] = y_loc
-        step += w
-    if np.any(active):
-        ux[active] = u(xs[active])
-        uy[active] = u(ys[active])
-    return ux, uy
-
-
 def max_principle_demo(
     cap_angle: float,
     n_harmonic: int,
@@ -640,14 +564,23 @@ def max_principle_demo(
     level = float(np.cos(cap_angle))
     boundary_max = float(cap_gradient_norm(n_harmonic, cap_angle))
 
+    def stopped_differences(x0, y0, step, stream_seed):
+        # u(X) - u(Y) with both stopped when either leaves the cap, or at t_max
+        record = run_paths(
+            strategy, x0, y0, h=step, t_final=t_max, n_paths=n_paths, seed=stream_seed,
+            record_stride=max(1, round(t_max / step)), snapshot_times=(t_max,), threads=1,
+            stop=lambda p: p[:, 2] - level,
+        )
+        ((xs, ys),) = record.snapshots.values()
+        return u(xs) - u(ys)
+
     # (i) martingale identity; run at a finer step, since the discrete
     # boundary monitoring bias is what limits the z-score here
     if identity_h is None:
         identity_h = h / 2.0
     x0 = _cap_point(0.45 * cap_angle)
     y0 = _cap_point(0.45 * cap_angle + separation)
-    ux, uy = _stopped_u_values(strategy, x0, y0, u, level, identity_h, t_max, n_paths, seed)
-    diffs = ux - uy
+    diffs = stopped_differences(x0, y0, identity_h, seed)
     se = float(np.std(diffs, ddof=1) / np.sqrt(n_paths))
     target = float(u(x0) - u(y0))
     z = (float(np.mean(diffs)) - target) / max(se, 1e-300)
@@ -664,10 +597,7 @@ def max_principle_demo(
             direction = space.project_tangent(base, np.array([1.0, 0.0, 0.0]))
             direction /= np.linalg.norm(direction)
         shifted = space.exp_map(base, direction, separation)
-        sux, suy = _stopped_u_values(
-            strategy, shifted, base, u, level, h, t_max, n_paths, seed + 1
-        )
-        sdiff = sux - suy
+        sdiff = stopped_differences(shifted, base, h, seed + 1)
         est = float(np.mean(sdiff)) / separation
         est_se = float(np.std(sdiff, ddof=1) / np.sqrt(n_paths)) / separation
         gradient_rows.append(

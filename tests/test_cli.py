@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bmcouple.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, SimConfig, main
+from bmcouple.couplings import RotationCoupling
 from bmcouple.verify import LAW_TOL
 
 
@@ -124,6 +125,21 @@ class TestSimulate:
             ]
         )
         assert code == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("space, k", [("sphere:2", "1.046"), ("sphere:3", "2.09")])
+    def test_rate_lost_along_the_law_is_rejected_before_the_run(self, tmp_path, monkeypatch, space, k):
+        # feasible at rho0 = 1, but not at rho0 exp(-k T / 2) ~ 0.59 and 0.50
+        moves = []
+        move = RotationCoupling.move
+        monkeypatch.setattr(RotationCoupling, "move", lambda self, *a: moves.append(1) or move(self, *a))
+        args = ["simulate", "--space", space, "--strategy", "rotation", "--k", k, "--rho0", "1"]
+        args += ["--h", "1e-3", "--paths", "50"]
+        code = main([*args, "--T", "1", "--out", str(tmp_path / "long")])
+        assert code == EXIT_INFEASIBLE
+        assert moves == [] and not (tmp_path / "long" / "trajectories.csv").exists()
+        if space == "sphere:2":
+            assert main([*args, "--T", "0.1", "--out", str(tmp_path / "short")]) == EXIT_OK
+            assert moves and (tmp_path / "short" / "trajectories.csv").exists()
 
     def test_unknown_strategy_is_config_error(self, tmp_path):
         code = main(

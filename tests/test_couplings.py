@@ -4,6 +4,7 @@ import pytest
 from bmcouple.couplings import (
     COUPLED,
     INDEPENDENT,
+    STRATEGIES,
     PatchedCoupling,
     RotationCoupling,
     distance_drift,
@@ -41,6 +42,19 @@ def step_many(strategy, x0, y0, n_paths, h, n_steps, seed=0):
         noise = stream.step_noise(strategy.primary_dim, strategy.aux_dim, n=n_paths)
         state = strategy.step(state, noise, h)
     return state
+
+
+@pytest.mark.parametrize("strategy_id", [*STRATEGIES, "patched"])
+def test_cache_values_carry_a_leading_path_axis(strategy_id):
+    # the stepping loop gathers and scatters the running paths' cache rows
+    space = FLAT2 if strategy_id == "translation" else S2
+    if strategy_id == "patched":
+        strategy = make_strategy("rotation", S2, k=-1.0, eps=0.2)
+    else:
+        strategy = make_strategy(strategy_id, space, **({"k": 0.0} if strategy_id == "rotation" else {}))
+    state = strategy.initial_state(space.base_point(), space.point_at_distance(1.0), 5)
+    for value in state.cache.values():
+        assert isinstance(value, np.ndarray) and value.shape[0] == 5
 
 
 class TestTranslation:

@@ -1,8 +1,10 @@
 import io
 
 import numpy as np
+import pytest
 
 from bmcouple.couplings import make_strategy
+from bmcouple.errors import DomainError
 from bmcouple.simulate import run_paths
 from bmcouple.spaces import ModelSpace
 
@@ -111,3 +113,97 @@ def test_long_noise_window_chunking():
                   h=1e-4, t_final=1.0, n_paths=2, seed=8, record_stride=1000)
     assert np.array_equal(a.rho, b.rho)
     assert a.rho.shape[0] == 11
+
+
+# -- stop barrier ---------------------------------------------------------------------
+
+CAP_LEVEL = float(np.cos(1.0))
+
+
+def _cap_stop(p):
+    return p[:, 2] - CAP_LEVEL
+
+
+def _same_record(a, b) -> bool:
+    same = all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("times", "rho", "chord", "regime"))
+    same = same and a.snapshots.keys() == b.snapshots.keys()
+    return same and all(
+        np.array_equal(a.snapshots[t][0], b.snapshots[t][0]) and np.array_equal(a.snapshots[t][1], b.snapshots[t][1])
+        for t in a.snapshots
+    )
+
+
+@pytest.mark.parametrize(
+    "strategy_id, space, params, eps, rho0",
+    [
+        ("translation", ModelSpace.euclidean(2), {}, None, 1.0),
+        ("mirror-s2", S2, {}, None, 1.0),
+        ("so3-flow", S2, {}, None, 1.0),
+        ("fixed-s2", S2, {}, None, 1.0),
+        ("rotation", S2, {"k": -1.0}, 0.2, 0.04),
+    ],
+)
+def test_unreached_barrier_changes_nothing(strategy_id, space, params, eps, rho0):
+    strategy = make_strategy(strategy_id, space, eps=eps, **params)
+    kwargs = dict(h=2e-3, t_final=0.6, n_paths=30, seed=4, record_stride=7, snapshot_times=(0.3, 0.6))
+    x0, y0 = space.base_point(), space.point_at_distance(rho0)
+    plain = run_paths(strategy, x0, y0, **kwargs)
+    barred = run_paths(strategy, x0, y0, stop=lambda p: np.ones(len(p)), **kwargs)
+    assert _same_record(plain, barred)
+
+
+def _cap_run(strategy_id, n_paths, threads=1, **kwargs):
+    # 400 steps: paths leave the cap in both noise windows, and some never do
+    x0 = np.array([np.sin(0.2), 0.0, np.cos(0.2)])
+    y0 = np.array([np.sin(0.4), 0.0, np.cos(0.4)])
+    options = dict(h=2e-3, t_final=0.8, seed=9, record_stride=10, snapshot_times=(0.4, 0.8), stop=_cap_stop)
+    options.update(kwargs)
+    return run_paths(make_strategy(strategy_id, S2), x0, y0, n_paths=n_paths, threads=threads, **options)
+
+
+@pytest.mark.parametrize("strategy_id", ["fixed-s2", "so3-flow"])
+def test_stopped_runs_keep_the_seed_contract(strategy_id):
+    one = _cap_run(strategy_id, 100)
+    free = _cap_run(strategy_id, 100, stop=None)
+    n_stopped = np.count_nonzero(np.any(one.snapshots[0.8][0] != free.snapshots[0.8][0], axis=1))
+    assert 0 < n_stopped < 100
+    assert _same_record(one, _cap_run(strategy_id, 100, threads=2))
+    alone = _cap_run(strategy_id, 64)
+    assert np.array_equal(alone.rho, one.rho[:, :64]) and np.array_equal(alone.regime, one.regime[:, :64])
+    for t, (ax, ay) in alone.snapshots.items():
+        assert np.array_equal(ax, one.snapshots[t][0][:64]) and np.array_equal(ay, one.snapshots[t][1][:64])
+
+
+def _crossing(track, k):
+    f_old, f_new = _cap_stop(track[k - 1 : k])[0], _cap_stop(track[k : k + 1])[0]
+    return f_old / (f_old - f_new) if f_new < 0.0 else 1.0
+
+
+def test_stopped_so3_flow_path_lies_on_its_bracketing_segment():
+    # Each path's rows of the cache (its own rotation) must travel with it
+    # through the gather.  Then its stop point, kept in the last snapshot, is
+    # the renormalised linear crossing between the unstopped run's positions
+    # at the two steps around the exit.
+    h, n_steps, n = 2e-3, 400, 20
+    free = _cap_run("so3-flow", n, record_stride=1, snapshot_times=np.arange(n_steps + 1) * h, stop=None)
+    xs = np.stack([free.snapshots[t][0] for t in sorted(free.snapshots)])  # (step, path, 3)
+    ys = np.stack([free.snapshots[t][1] for t in sorted(free.snapshots)])
+    end_x, end_y = _cap_run("so3-flow", n).snapshots[0.8]
+    n_stopped = 0
+    for j in range(n):
+        outside = np.flatnonzero((_cap_stop(xs[:, j]) < 0.0) | (_cap_stop(ys[:, j]) < 0.0))
+        if outside.size == 0:
+            assert np.array_equal(end_x[j], xs[-1, j]) and np.array_equal(end_y[j], ys[-1, j])
+            continue
+        n_stopped += 1
+        k = outside[0]
+        theta = min(_crossing(xs[:, j], k), _crossing(ys[:, j], k))
+        for end, track in ((end_x[j], xs[:, j]), (end_y[j], ys[:, j])):
+            point = track[k - 1] + theta * (track[k] - track[k - 1])
+            assert np.allclose(end, point / np.linalg.norm(point), rtol=0.0, atol=1e-14)
+    assert 0 < n_stopped < n
+
+
+def test_start_outside_the_stop_domain_is_rejected():
+    with pytest.raises(DomainError):
+        _cap_run("fixed-s2", 4, stop=lambda p: p[:, 2] - 0.99)

@@ -215,6 +215,17 @@ class TestCapHarmonic:
         with pytest.raises(DomainError):
             max_principle_demo(0.8, 0, n_paths=10)
 
+    def test_demo_report_is_pinned(self):
+        # float.hex of the report the demo gave with its former stand-alone
+        # stopping loop; stepping through run_paths must not change a bit
+        report = max_principle_demo(0.8, 1, h=2e-3, n_paths=400, seed=6, t_max=6.0)
+        assert report["martingale_z"].hex() == "0x1.db40a077c00e6p-3"
+        rows = [(row["estimate"].hex(), row["se"].hex()) for row in report["gradient_rows"]]
+        assert rows == [
+            ("0x1.fabe3a00e3b1ep-2", "0x1.ef1509f622c44p-8"),
+            ("0x1.0aca42674e0d6p-1", "0x1.57e44a65d4d6ap-8"),
+        ]
+
     def test_demo_smoke(self):
         report = max_principle_demo(0.8, 1, h=2e-3, n_paths=400, seed=6, t_max=6.0)
         assert set(report) >= {"martingale_z", "boundary_gradient_max", "gradient_rows", "pass"}
