@@ -1,7 +1,10 @@
 """Command-line entry point: simulate couplings, run verification suites, emit tables.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 runtime infeasibility (e.g. a contraction rate no coupling can realize).
+3 runtime failure: an infeasible rate (a contraction rate no coupling can
+realize), or a run that cannot go on (a step too large for the random walk,
+a pair at the cut locus, a broken driver constraint, a conjugate point).
+A runtime failure prints one line to stderr and writes no output file.
 """
 
 from __future__ import annotations
@@ -16,7 +19,14 @@ import numpy as np
 
 from .acceptance import SUITES, run_suite
 from .couplings import make_strategy, rotation_angle_cos
-from .errors import DomainError, InfeasibleRateError
+from .errors import (
+    ConjugatePointError,
+    CouplingConstraintError,
+    CutLocusError,
+    DomainError,
+    InfeasibleRateError,
+    StepTooLargeError,
+)
 from .simulate import run_paths
 from .spaces import ModelSpace, parse_space
 from .verify import LAW_TOL, build_law, drift_identity_check
@@ -310,6 +320,9 @@ def main(argv=None) -> int:
         return cmd_table(args)
     except InfeasibleRateError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (StepTooLargeError, CutLocusError, CouplingConstraintError, ConjugatePointError) as exc:
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (DomainError, OSError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -10,8 +10,8 @@ second particle's noise is manufactured from the first's.
 The rotation strategy realizes the frame-bundle construction at the level of
 its projected one-step action: transport an adapted tangent frame along the
 connecting geodesic and rotate the perpendicular noise components by a
-distance-dependent angle.  With canonical frames the two alignment matrices
-are the identity, so the noise map reduces to the transposed block rotation.
+distance-dependent angle.  The move applies that frame and its transport in
+closed form to the noise (``_transport_rotate_noise``) and never builds them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
     InfeasibleRateError,
 )
-from .spaces import ModelSpace, gen_cos, gen_sin
+from .spaces import ANTIPODE_TOL, ModelSpace, gen_cos, gen_sin
 
 COUPLED = 0
 INDEPENDENT = 1
@@ -324,7 +324,7 @@ class ExtrinsicExpandS2(CouplingStrategy):
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (n, 3) arrays (einsum is 2-4x faster than
+    """Row-wise dot products of two (n, k) arrays (einsum is 2-4x faster than
     summing the product over the last axis at these shapes)."""
     return np.einsum("ij,ij->i", a, b)
 
@@ -496,15 +496,95 @@ def distance_drift(space: ModelSpace, alpha, rho) -> np.ndarray:
 
 def _rotate_pairs_transposed(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Apply the transposed block rotation to the noise: the first component is
-    fixed, consecutive pairs of the rest rotate by alpha."""
+    fixed, consecutive pairs of the rest rotate by alpha (the drive dimension
+    is odd, so the rest pair up)."""
     out = np.empty_like(g)
     out[:, 0] = g[:, 0]
-    ca = np.cos(alpha)
-    sa = np.sin(alpha)
-    n_cols = g.shape[1]
-    for i in range(1, n_cols - 1, 2):
-        out[:, i] = ca * g[:, i] - sa * g[:, i + 1]
-        out[:, i + 1] = sa * g[:, i] + ca * g[:, i + 1]
+    ca = np.cos(alpha)[:, None]
+    sa = np.sin(alpha)[:, None]
+    odd, even = g[:, 1::2], g[:, 2::2]
+    out[:, 1::2] = ca * odd - sa * even
+    out[:, 2::2] = sa * odd + ca * even
+    return out
+
+
+def _minkowski_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Minkowski products of two (n, ambient) arrays."""
+    return _rowdot(a, b) - 2.0 * a[:, 0] * b[:, 0]
+
+
+def _transport_rotate_noise(space: ModelSpace, x, y, rho, gp, alpha) -> np.ndarray:
+    """Tangent noise of the rotation coupling in closed form, as one (2, n,
+    ambient) array: xi at x, then eta at y.  It forms no frame.
+
+    The adapted frame at x is the reference frame b turned by the Householder
+    map H taking the coefficients coef_j = <b_j, u> of the unit tangent u
+    toward y to e_1, so that frame_0 = u and, for frame coefficients v,
+
+        sum_j v_j frame_j = v_0 u + sum_j v'_j b_j,
+        v' = (0, v_1, ...) + kappa w,  w = e_1 - coef,
+        kappa = 2 sum_{j>=1} coef_j v_j / |w|^2
+
+    (kappa = 0 where |w|^2 <= 1e-24: u is b_0 already and H is the identity).
+    b is the identity on flat space.  On the curved spaces it is the frame
+    transported from the pole e_p, p = 0 except on the sphere near that
+    pole's antipode (1 + x_0 < 0.1), where p = 1.  b_0 sits on ambient axis
+    q = 1 - p, each b_j (j >= 1) on axis j + 1, and with V the coefficients
+    placed on those axes
+
+        sum_j v'_j b_j = V + sigma (V.x) / (1 + x_p) (e_p + x),
+
+    sigma = -1 on the sphere and +1 on the hyperboloid.  Parallel transport
+    to y fixes the perpendicular part and takes u to
+    u + sigma sin(rho) / (1 + cos(rho)) (x + y) (hyperbolic sin and cos on
+    the hyperboloid; u itself on flat space), so eta is the image of the
+    rotated noise plus g_0 times that change.  Both images are formed in one
+    stacked pass.
+    """
+    d, curv = space.dim, space.curvature
+    n = x.shape[0]
+    if curv == 0:
+        u = (y - x) / np.maximum(rho, 1e-300)[:, None]
+        coef = u
+    else:
+        dot = _rowdot if curv == 1 else _minkowski_rowdot
+        raw = y + (-curv * dot(x, y))[:, None] * x
+        u = raw / np.maximum(np.sqrt(np.maximum(dot(raw, raw), 0.0)), 1e-300)[:, None]
+        # per-row pole as weights: pf = 1 where p = 1, qf = 1 where q = 1
+        pf = (1.0 + x[:, 0] < 0.1).astype(float) if curv == 1 else np.zeros(n)
+        qf = 1.0 - pf
+        pole_x = x.copy()  # e_p + x
+        pole_x[:, 0] += qf
+        pole_x[:, 1] += pf
+        one_xp = pole_x[:, 0] * qf + pole_x[:, 1] * pf
+        if curv == 1:
+            # reference_frame's clamp; with the pole chosen per row,
+            # 1 + x_p >= 0.1 already on points of the sphere
+            one_xp = np.maximum(one_xp, 1e-3)
+        sig_c = -curv / one_xp
+        along = sig_c * dot(pole_x, u)
+        coef = np.empty((n, d))
+        coef[:, 0] = pf * u[:, 0] + qf * u[:, 1] + along * (pf * x[:, 0] + qf * x[:, 1])
+        coef[:, 1:] = u[:, 2:] + along[:, None] * x[:, 2:]
+    w0 = 1.0 - coef[:, 0]
+    w2 = w0 * w0 + _rowdot(coef[:, 1:], coef[:, 1:])
+    two_w2 = np.where(w2 > 1e-24, 2.0 / np.maximum(w2, 1e-300), 0.0)
+
+    v = np.stack((gp[:, :d], _rotate_pairs_transposed(gp, alpha)[:, :d]))
+    kappa = np.einsum("knj,nj->kn", v[..., 1:], coef[:, 1:]) * two_w2
+    tail = v[..., 1:] - kappa[..., None] * coef[:, 1:]
+    if curv == 0:
+        out = np.concatenate(((kappa * w0)[..., None], tail), axis=-1)
+    else:
+        out = np.empty((2, n, d + 1))
+        out[..., 0] = kappa * (w0 * pf)
+        out[..., 1] = kappa * (w0 * qf)
+        out[..., 2:] = tail
+        out += (sig_c * np.einsum("kna,na->kn", out, x))[..., None] * pole_x
+    out += v[..., :1] * u
+    if curv != 0:
+        half = np.tan(0.5 * rho) if curv == 1 else np.tanh(0.5 * rho)
+        out[1] += (-curv * half * gp[:, 0])[:, None] * (x + y)
     return out
 
 
@@ -515,7 +595,8 @@ class RotationCoupling(CouplingStrategy):
     geodesic; the second receives the same noise after parallel transport and
     a rotation by alpha(rho) in the perpendicular 2-planes.  Even dimensions
     gain one fictitious driving dimension (frames of size d+1) so the
-    perpendicular directions pair up.
+    perpendicular directions pair up.  The frames are applied in closed form
+    on ambient vectors (``_transport_rotate_noise``), never built.
 
     With a rate parameter k the angle solves
     cos(alpha) = gc(rho) + k rho gs(rho) / (2(d-1)), which makes the distance
@@ -579,34 +660,24 @@ class RotationCoupling(CouplingStrategy):
             )
         return np.arccos(np.clip(cos_alpha, -1.0, 1.0))
 
-    def noise_tangents(self, x, y, gp):
-        """Tangent noise pair (xi at x, eta at y) induced by the driving draws.
+    def noise_tangents(self, x, y, gp) -> np.ndarray:
+        """Tangent noise pair induced by the driving draws, stacked as one
+        (2, n, ambient) array: xi at x, then eta at y.
 
         The adapted frame at x is transported to y; the perpendicular
         components of the noise rotate by alpha(rho) on the way.
         """
-        space = self.space
-        d = space.dim
-        rho = space.distance(x, y)
+        rho = self.space.distance(x, y)
         if np.any(rho < MEET_TOL):
             raise DegenerateInputError("rotation coupling undefined at coincident points")
-        gdir = space.log_map(x, y) / rho[:, None]
-        frame_x = space.frame_with_first(x, gdir)
-        frame_y = space.parallel_transport(x[:, None, :], y[:, None, :], frame_x)
-        alpha = self._alpha(rho)
-        rotated = _rotate_pairs_transposed(gp, alpha)
-        xi = np.einsum("nj,nja->na", gp[:, :d], frame_x)
-        eta = np.einsum("nj,nja->na", rotated[:, :d], frame_y)
-        return xi, eta
+        if self.space.curvature == 1 and np.any(rho > np.pi - ANTIPODE_TOL):
+            raise CutLocusError("rotation coupling undefined at (numerically) antipodal points")
+        return _transport_rotate_noise(self.space, x, y, rho, gp, self._alpha(rho))
 
     def move(self, x, y, gp, ga, h, cache):
-        xi, eta = self.noise_tangents(x, y, gp)
-        sq = np.sqrt(h)
-        return (
-            self.space.exp_tangent(x, sq * xi),
-            self.space.exp_tangent(y, sq * eta),
-            cache,
-        )
+        tangents = self.noise_tangents(x, y, gp)
+        moved = self.space.exp_tangent(np.stack((x, y)), np.sqrt(h) * tangents)
+        return moved[0], moved[1], cache
 
 
 # -- broken coupling (negative control) ---------------------------------------------

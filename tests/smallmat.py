@@ -1,9 +1,11 @@
-"""Scalar 3x3 constructions of the 2-sphere couplings, kept as test oracles.
+"""Matrix constructions of the couplings, kept as test oracles.
 
-The library runs only batched versions in ``bmcouple.couplings``, where the
-fixed-distance driver is a closed-form noise map that forms no matrix; these
-one-pair versions are written independently (explicit outer products, one
-pair at a time) so the tests can compare the two.
+The library runs only closed-form noise maps in ``bmcouple.couplings``, which
+form no matrix and no frame.  The 2-sphere constructions here are one-pair
+versions written independently (explicit outer products, one pair at a time);
+the rotation coupling's oracle builds the adapted frame and its parallel
+transport literally, with the frame routines of ``bmcouple.spaces``.  The
+tests compare the two.
 """
 
 from __future__ import annotations
@@ -83,3 +85,31 @@ def fixed_distance_matrices(x, y) -> tuple[np.ndarray, np.ndarray]:
     jt = np.array([[0.0, -s, 0.0], [0.0, c, 0.0], [0.0, 0.0, c]])
     kt = np.array([[0.0, c, 0.0], [0.0, s, 0.0], [0.0, 0.0, s]])
     return o @ jt @ o.T, o @ kt @ o.T
+
+
+def rotate_pairs_transposed(g, alpha) -> np.ndarray:
+    """The transposed block rotation: component 0 is fixed and each pair
+    (2i-1, 2i) of the rest turns by alpha, one row at a time."""
+    out = np.array(g, dtype=float)
+    for row, angle in zip(out, np.broadcast_to(alpha, out.shape[:1])):
+        ca, sa = np.cos(angle), np.sin(angle)
+        for i in range(1, out.shape[1] - 1, 2):
+            a, b = row[i], row[i + 1]
+            row[i], row[i + 1] = ca * a - sa * b, sa * a + ca * b
+    return out
+
+
+def rotation_noise_tangents(space, x, y, gp, alpha):
+    """Tangent noise pair (xi at x, eta at y) of the rotation coupling, built on
+    frames: the frame at x whose first vector points along the geodesic to y
+    (``frame_with_first``) carries the noise, its parallel transport to y
+    carries the noise rotated by alpha in the perpendicular 2-planes."""
+    d = space.dim
+    rho = space.distance(x, y)
+    gdir = space.log_map(x, y) / rho[:, None]
+    frame_x = space.frame_with_first(x, gdir)
+    frame_y = space.parallel_transport(x[:, None, :], y[:, None, :], frame_x)
+    rotated = rotate_pairs_transposed(gp, alpha)
+    xi = np.einsum("nj,nja->na", gp[:, :d], frame_x)
+    eta = np.einsum("nj,nja->na", rotated[:, :d], frame_y)
+    return xi, eta

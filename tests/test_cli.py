@@ -141,6 +141,20 @@ class TestSimulate:
             assert main([*args, "--T", "0.1", "--out", str(tmp_path / "short")]) == EXIT_OK
             assert moves and (tmp_path / "short" / "trajectories.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--strategy", "independent", "--h", "0.5", "--T", "1"],  # StepTooLargeError
+            ["--strategy", "rotation", "--k", "0", "--rho0", "3.1415926535"],  # CutLocusError
+        ],
+    )
+    def test_runtime_fault_is_one_line_and_exit_3(self, tmp_path, capsys, args):
+        code = main(["simulate", "--space", "sphere:2", "--paths", "100", *args, "--out", str(tmp_path)])
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and err.count("\n") == 1
+        assert not (tmp_path / "trajectories.csv").exists()
+
     def test_unknown_strategy_is_config_error(self, tmp_path):
         code = main(
             ["simulate", "--strategy", "wormhole", "--paths", "2", "--out", str(tmp_path)]

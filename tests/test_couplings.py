@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import smallmat as sm
 
 from bmcouple.couplings import (
     COUPLED,
@@ -424,6 +425,98 @@ class TestRotationCoupling:
         with pytest.raises(InfeasibleRateError):
             for _ in range(5000):
                 state = strategy.step(state, stream.step_noise(3, n=64), 1e-3)
+
+
+def _geodesic_points(space, x, rng, lo, hi):
+    """Points at distances uniform in [lo, hi] from the rows of x, in random
+    directions."""
+    dirs = rng.standard_normal((len(x), space.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    tangents = np.einsum("nj,nja->na", dirs, space.reference_frame(x))
+    return space.exp_map(x, tangents, rng.uniform(lo, hi, len(x)))
+
+
+def _householder_gap(space, x, y):
+    """|e_1 - coef| for the coefficients of the unit tangent toward y in the
+    reference frame: the Householder completion divides by its square."""
+    rho = space.distance(x, y)
+    coef = space.metric_dot(space.reference_frame(x), (space.log_map(x, y) / rho[:, None])[:, None, :])
+    coef[:, 0] -= 1.0
+    return np.linalg.norm(coef, axis=1)
+
+
+class TestRotationNoiseMap:
+    """The closed-form noise map against the frame-building oracle in
+    tests/smallmat.py (frame_with_first, parallel_transport, einsum)."""
+
+    @pytest.mark.parametrize("curvature", [-1, 0, 1])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_matches_frame_oracle(self, curvature, dim):
+        space = ModelSpace(curvature, dim)
+        strategy = RotationCoupling(space, alpha_override=1.234)
+        rng = np.random.default_rng(100 + 10 * curvature + dim)
+        n = 1000
+        pole = np.broadcast_to(space.base_point(), (n, space.ambient_dim))
+        far = 3.0 if curvature == 1 else 1.5
+        x = _geodesic_points(space, pole, rng, 0.0, far)
+        if curvature == 1:
+            # a quarter of the rows near the pole's antipode use the second pole
+            x[: n // 4] = _geodesic_points(space, -pole[: n // 4], rng, 0.0, 0.45)
+            assert np.count_nonzero(1.0 + x[:, 0] < 0.1) > n // 5
+        y = _geodesic_points(space, x, rng, 0.05, 3.0 if curvature == 1 else 2.5)
+        # the canonical start pair: u is the first reference vector exactly
+        x[0], y[0] = space.base_point(), space.point_at_distance(1.0)
+        gp = rng.standard_normal((n, strategy.primary_dim))
+        xi, eta = strategy.noise_tangents(x, y, gp)
+        ref_xi, ref_eta = sm.rotation_noise_tangents(space, x, y, gp, strategy._alpha(space.distance(x, y)))
+        # roundoff is amplified by 1/|e_1 - coef| where u nears the first
+        # reference vector, in both maps; at a gap of 0 (the canonical pair)
+        # both take the identity branch
+        gap = _householder_gap(space, x, y)
+        tol = 1e-12 * np.maximum(1.0, 0.1 / np.where(gap > 0.0, gap, 1.0))
+        for got, ref in ((xi, ref_xi), (eta, ref_eta)):
+            rel = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
+            assert np.all(rel <= tol)
+
+    @pytest.mark.parametrize(
+        "space", [S2, ModelSpace.sphere(3), ModelSpace.hyperbolic(2), ModelSpace.euclidean(3)]
+    )
+    def test_canonical_start_pair_takes_the_identity_branch(self, space):
+        # u = b_0: the adapted frame is the reference frame with u first
+        strategy = RotationCoupling(space, alpha_override=0.0)
+        x, y = space.base_point()[None, :], space.point_at_distance(0.7)[None, :]
+        assert _householder_gap(space, x, y)[0] == 0.0
+        gp = np.random.default_rng(3).standard_normal((1, strategy.primary_dim))
+        xi, _ = strategy.noise_tangents(x, y, gp)
+        d = space.dim
+        expected = np.einsum("nj,nja->na", gp[:, :d], space.reference_frame(x))
+        assert np.max(np.abs(xi - expected)) < 1e-15
+        ref_xi, ref_eta = sm.rotation_noise_tangents(space, x, y, gp, np.zeros(1))
+        assert np.max(np.abs(xi - ref_xi)) < 1e-15
+
+    @pytest.mark.parametrize("call", ["noise_tangents", "move"])
+    def test_degenerate_inputs_raise(self, call):
+        def run(strategy, x, y):
+            gp = np.ones((len(x), strategy.primary_dim))
+            if call == "move":
+                return strategy.move(x, y, gp, None, 1e-3, {})
+            return strategy.noise_tangents(x, y, gp)
+
+        x = np.stack([S2.base_point(), S2.point_at_distance(0.5)])
+        meeting = np.stack([S2.point_at_distance(1.0), S2.point_at_distance(0.5)])
+        with pytest.raises(DegenerateInputError):
+            run(RotationCoupling(S2, k=0.0), x, meeting)
+        antipodal = np.stack([S2.point_at_distance(1.0), -S2.point_at_distance(0.5)])
+        with pytest.raises(CutLocusError):
+            run(RotationCoupling(S2, k=0.0), x, antipodal)
+        with pytest.raises(CutLocusError):
+            run(RotationCoupling(S2, k=0.0), x[:1], S2.point_at_distance(np.pi - 1e-9)[None, :])
+        # cos alpha = cos 3 - 0.4 * 3 sin 3 / 2 < -1 at distance 3
+        with pytest.raises(InfeasibleRateError):
+            run(RotationCoupling(S2, k=-0.4), x[:1], S2.point_at_distance(3.0)[None, :])
+        flat = ModelSpace.euclidean(3)
+        with pytest.raises(DegenerateInputError):
+            run(RotationCoupling(flat, alpha_override=np.pi), np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 class TestDriftFormula:

@@ -174,6 +174,34 @@ def test_stopped_runs_keep_the_seed_contract(strategy_id):
         assert np.array_equal(ax, one.snapshots[t][0][:64]) and np.array_equal(ay, one.snapshots[t][1][:64])
 
 
+@pytest.mark.parametrize(
+    "space, params, rho_x, rho_y",
+    [
+        # x starts 0.24 from the pole's antipode, so its rows switch between
+        # the two reference poles during the run
+        (S2, {"k": 0.0}, 2.9, 1.9),
+        (ModelSpace.hyperbolic(3), {"alpha_override": np.pi}, 0.0, 1.0),
+    ],
+)
+def test_rotation_runs_keep_the_seed_contract(space, params, rho_x, rho_y):
+    strategy = make_strategy("rotation", space, **params)
+    x0, y0 = space.point_at_distance(rho_x), space.point_at_distance(rho_y)
+
+    def run(n_paths, threads=1):
+        return run_paths(strategy, x0, y0, h=2e-3, t_final=0.4, n_paths=n_paths, seed=11,
+                         record_stride=10, snapshot_times=(0.2, 0.4), threads=threads)
+
+    one = run(100)
+    if space.curvature == 1:
+        x_end = one.snapshots[0.4][0]
+        assert 0 < np.count_nonzero(1.0 + x_end[:, 0] < 0.1) < 100
+    assert _same_record(one, run(100, threads=2))
+    alone = run(64)
+    assert np.array_equal(alone.rho, one.rho[:, :64]) and np.array_equal(alone.chord, one.chord[:, :64])
+    for t, (ax, ay) in alone.snapshots.items():
+        assert np.array_equal(ax, one.snapshots[t][0][:64]) and np.array_equal(ay, one.snapshots[t][1][:64])
+
+
 def _crossing(track, k):
     f_old, f_new = _cap_stop(track[k - 1 : k])[0], _cap_stop(track[k : k + 1])[0]
     return f_old / (f_old - f_new) if f_new < 0.0 else 1.0

@@ -24,6 +24,8 @@ from bmcouple.verify import (
     marginal_check,
     max_principle_demo,
     report_json,
+    LAWS,
+    build_law,
     validate_law,
 )
 
@@ -46,6 +48,28 @@ class TestLaws:
         ]
         for law, t_final in laws:
             assert validate_law(law, t_final) < 1e-8, law.law_id
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_grid_evaluation_matches_pointwise_loop(self, name):
+        # the closed form evaluated once on the grid gives the same error,
+        # to the bit, as evaluating it at each RK4 step
+        kind = name.split("-")[0]
+        space = {"hyperbolic": ModelSpace.hyperbolic(3), "flat": ModelSpace.euclidean(2)}.get(kind, S2)
+        law = build_law(name, space, space.base_point(), space.point_at_distance(1.0), k=0.8)
+        t_final, n_steps = 2.0, 2000
+        h = t_final / n_steps
+        value, worst = law.initial, 0.0
+        for i in range(n_steps + 1):
+            ref = float(law.evaluate(i * h))
+            worst = max(worst, abs(value - ref) / max(abs(ref), 1e-12))
+            if i == n_steps:
+                break
+            k1 = law.rhs(value)
+            k2 = law.rhs(value + 0.5 * h * k1)
+            k3 = law.rhs(value + 0.5 * h * k2)
+            k4 = law.rhs(value + h * k3)
+            value += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert validate_law(law, t_final, n_steps) == worst
 
     def test_initial_values(self):
         for law in (
