@@ -14,7 +14,7 @@ from .couplings import (
     make_strategy,
     rotation_angle_cos,
 )
-from .drivers import NoiseStream, StepNoise, geodesic_walk_step, kendall_compose, so3_flow_step, stroock_step
+from .drivers import NoiseStream, StepNoise, geodesic_walk_step, kendall_compose, stroock_step
 from .errors import (
     ConjugatePointError,
     CouplingConstraintError,

@@ -21,7 +21,6 @@ from .couplings import (
     feasible_rate_interval,
     make_strategy,
 )
-from .drivers import NoiseStream, so3_flow_step
 from .errors import InfeasibleRateError
 from .simulate import run_paths
 from .spaces import ModelSpace, index_form_closed, index_form_quadrature
@@ -145,14 +144,15 @@ def algebra_suite(n_pairs: int = 10_000, n_alpha: int = 1000, seed: int = 3001) 
 
 
 def index_form_suite(seed: int = 3002) -> dict:
+    curvatures = np.repeat([-1, 0, 1], 13)
+    rhos = np.tile(np.linspace(0.1, 2.5, 13), 3)
+    q11 = index_form_quadrature(curvatures, rhos, (1.0, 0.0))
+    q22 = index_form_quadrature(curvatures, rhos, (0.0, 1.0))
     worst_cmp = 0.0
-    for r in (-1, 0, 1):
-        for rho in np.linspace(0.1, 2.5, 13):
-            closed = index_form_closed(r, rho)
-            q11 = index_form_quadrature(r, rho, (1.0, 0.0))
-            q22 = index_form_quadrature(r, rho, (0.0, 1.0))
-            for a, b in ((closed.i11, q11), (closed.i22, q22)):
-                worst_cmp = max(worst_cmp, abs(a - b) / max(1.0, abs(a)))
+    for r, rho, b11, b22 in zip(curvatures.tolist(), rhos, q11, q22):
+        closed = index_form_closed(r, rho)
+        for a, b in ((closed.i11, b11), (closed.i22, b22)):
+            worst_cmp = max(worst_cmp, abs(a - b) / max(1.0, abs(a)))
     lemma = field_index_form_check(n_cases=100, seed=seed)
     drift = drift_identity_check()
     lines = [
@@ -184,56 +184,18 @@ def index_form_suite(seed: int = 3002) -> dict:
 
 
 def exact_invariant_suite(n_steps: int = 1_000_000, seed: int = 3003) -> dict:
+    """The translation and shared rotation-flow couplings hold the distance
+    fixed to roundoff: one path each through ``run_paths``, every step
+    recorded and checked."""
     h = 1e-6
-    block = 100_000
-
-    # translation coupling, flat plane
-    space = ModelSpace.euclidean(2)
-    strategy = make_strategy("translation", space)
-    state = strategy.initial_state(space.base_point(), space.point_at_distance(1.0), 1)
-    offset = state.cache["offset"]
-    x = state.x
-    d0 = float(space.distance(state.x, state.y)[0])
-    stream = NoiseStream(seed, 0)
-    worst_translation = 0.0
-    done = 0
-    while done < n_steps:
-        noise = stream.standard_normal((min(block, n_steps - done), 1, 2))
-        for g in noise:
-            x, y, _ = strategy.move(x, x - offset, g, None, h, state.cache)
-            worst_translation = max(
-                worst_translation, abs(float(space.distance(x, y)[0]) - d0)
-            )
-        done += noise.shape[0]
-
-    # shared rotation flow on the 2-sphere
-    sphere = ModelSpace.sphere(2)
-    x0 = sphere.base_point()
-    y0 = sphere.point_at_distance(1.0)
-    d0 = float(sphere.distance(x0, y0))
-    z = np.eye(3)
-    stream = NoiseStream(seed, 1)
-    worst_so3 = 0.0
-    done = 0
-    while done < n_steps:
-        noise = stream.standard_normal((min(block, n_steps - done), 3))
-        for g in noise:
-            z = so3_flow_step(z, g, h)
-            worst_so3 = max(worst_so3, abs(float(sphere.distance(z @ x0, z @ y0)) - d0))
-        done += noise.shape[0]
-
-    lines = [
-        _line(
-            f"translation distance drift over {n_steps} steps",
-            worst_translation < 1e-12,
-            f"max |drift| {worst_translation:.3e}",
-        ),
-        _line(
-            f"so3-flow distance drift over {n_steps} steps",
-            worst_so3 < 1e-12,
-            f"max |drift| {worst_so3:.3e}",
-        ),
-    ]
+    lines = []
+    for strategy_id, space in (("translation", ModelSpace.euclidean(2)), ("so3-flow", ModelSpace.sphere(2))):
+        strategy = make_strategy(strategy_id, space)
+        x0, y0 = _start_pair(space, 1.0)
+        record = run_paths(strategy, x0, y0, h=h, t_final=n_steps * h, n_paths=1, seed=seed)
+        worst = float(np.max(np.abs(record.rho - record.rho[0])))
+        ok = len(record.times) == n_steps + 1 and worst < 1e-12
+        lines.append(_line(f"{strategy_id} distance drift over {n_steps} steps", ok, f"max |drift| {worst:.3e}"))
     return _suite("exact-invariants", lines)
 
 
@@ -312,14 +274,12 @@ def consistency_suite(
     x0, y0 = _start_pair(space, rho0)
     config = CheckConfig(t_final=3.0, n_paths=n_paths, seed=seed, threads=threads)
     lines = []
-    means = []
     for strategy_id, params in (
         ("extrinsic-contract-s2", {}),
         ("rotation", {"alpha_override": 0.0}),
     ):
         strategy = make_strategy(strategy_id, space, **params)
         report = distance_law_check(strategy, x0, y0, law, config)
-        means.append(report["sup_err"][-1])
         lines.append(
             _line(
                 f"{strategy_id} matches {law.law_id}",

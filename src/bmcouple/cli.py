@@ -10,7 +10,6 @@ A runtime failure prints one line to stderr and writes no output file.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .simulate import run_paths
 from .spaces import ModelSpace, parse_space
-from .verify import LAW_TOL, build_law, drift_identity_check
+from .verify import LAW_TOL, REPORT_KEYS, build_law, drift_identity_check, report_json
 
 SEED_ENV_VAR = "BMCOUPLE_SEED"
 
@@ -137,16 +136,10 @@ def cmd_simulate(config: SimConfig) -> int:
         record_stride=config.record_stride,
         threads=config.threads,
     )
-    summary = {
-        "strategy": config.strategy,
-        "law": config.law,
-        "n_paths": config.paths,
-        "h_ladder": [config.h],
-        "sup_err": [],
-        "fitted_order": None,
-        "z_scores": [],
-        "pass": None,
-    }
+    summary = dict.fromkeys(REPORT_KEYS)
+    summary.update(
+        strategy=config.strategy, law=config.law, n_paths=config.paths, h_ladder=[config.h], sup_err=[], z_scores=[]
+    )
     if law is not None:
         observed = record.rho if law.observable == "geodesic" else record.chord
         target = law.evaluate(record.times)
@@ -159,7 +152,7 @@ def cmd_simulate(config: SimConfig) -> int:
     with open(csv_path, "w") as handle:
         record.to_csv(handle)
     with open(json_path, "w") as handle:
-        handle.write(json.dumps(summary, sort_keys=True) + "\n")
+        handle.write(report_json(summary) + "\n")
     final_rho = record.rho[-1]
     print(f"wrote {csv_path} and {json_path}")
     print(

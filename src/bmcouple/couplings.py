@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .drivers import StepNoise, geodesic_walk_step, kendall_compose, stroock_step
+from .drivers import StepNoise, check_step_length, geodesic_walk_step, kendall_compose, stroock_step
 from .errors import (
     CouplingConstraintError,
     CutLocusError,
@@ -233,6 +233,17 @@ class MirrorS2(CouplingStrategy):
 # -- extrinsic rotating couplings on the 2-sphere ---------------------------------
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two (..., 3) arrays of one shape.  The
+    component formula is numpy's own, so the result is bitwise numpy's, at a
+    fraction of its per-call overhead on the small batches a step sees."""
+    out = np.empty_like(a)
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
 def _rodrigues_apply(x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply the rotation taking each x row to its y row to the matching v row.
 
@@ -245,7 +256,7 @@ def _rodrigues_apply(x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     c = np.sum(x * y, axis=-1, keepdims=True)
     xv = np.sum(x * v, axis=-1, keepdims=True)
     far = c < -0.5
-    u = np.cross(x, y)
+    u = _cross(x, y)
     general = (
         c * v
         + xv * y
@@ -405,33 +416,36 @@ class FixedDistanceS2(CouplingStrategy):
 # -- shared rotation-flow coupling -------------------------------------------------
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows, keeping the last axis: the arithmetic of
+    np.linalg.norm(v, axis=-1, keepdims=True) without its dispatch."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+
+
 def _batched_so3_exp(omega: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(omega, axis=-1)
-    safe = np.maximum(theta, 1e-300)
-    axis = omega / safe[:, None]
-    n = omega.shape[0]
-    hat = np.zeros((n, 3, 3))
-    hat[:, 0, 1] = -axis[:, 2]
-    hat[:, 0, 2] = axis[:, 1]
-    hat[:, 1, 0] = axis[:, 2]
-    hat[:, 1, 2] = -axis[:, 0]
-    hat[:, 2, 0] = -axis[:, 1]
-    hat[:, 2, 1] = axis[:, 0]
-    eye = np.eye(3)
-    out = (
-        eye
-        + np.sin(theta)[:, None, None] * hat
-        + (1.0 - np.cos(theta))[:, None, None] * np.einsum("nij,njk->nik", hat, hat)
-    )
-    return np.where((theta > 0.0)[:, None, None], out, eye)
+    """exp of each row's cross-product matrix by Rodrigues' formula
+    cos(t) I + sin(t) [a]x + (1 - cos(t)) a a' with t = |omega|, a = omega / t;
+    a zero row gives the identity."""
+    theta = _row_norms(omega)
+    axis = omega / np.maximum(theta, 1e-300)
+    out = ((1.0 - np.cos(theta)) * axis)[:, :, None] * axis[:, None, :]
+    flat = out.reshape(-1, 9)
+    flat[:, ::4] += np.cos(theta)
+    sin_axis = np.sin(theta) * axis
+    # [a]x holds a_0, a_1, a_2 at (2, 1), (0, 2), (1, 0) and minus them at (1, 2), (2, 0), (0, 1)
+    flat[:, [7, 2, 3]] += sin_axis
+    flat[:, [5, 6, 1]] -= sin_axis
+    return out
 
 
 def _batched_reorthonormalize(z: np.ndarray) -> np.ndarray:
-    r0 = z[:, 0] / np.linalg.norm(z[:, 0], axis=-1, keepdims=True)
-    r1 = z[:, 1] - np.sum(r0 * z[:, 1], axis=-1, keepdims=True) * r0
-    r1 = r1 / np.linalg.norm(r1, axis=-1, keepdims=True)
-    r2 = np.cross(r0, r1)
-    return np.stack([r0, r1, r2], axis=1)
+    """Project near-rotations back onto SO(3) by Gram-Schmidt on the rows."""
+    out = np.empty_like(z)
+    r0 = out[:, 0] = z[:, 0] / _row_norms(z[:, 0])
+    r1 = z[:, 1] - np.add.reduce(r0 * z[:, 1], axis=-1, keepdims=True) * r0
+    r1 = out[:, 1] = r1 / _row_norms(r1)
+    out[:, 2] = _cross(r0, r1)
+    return out
 
 
 class So3FlowCoupling(CouplingStrategy):
@@ -459,9 +473,9 @@ class So3FlowCoupling(CouplingStrategy):
 
     def move(self, x, y, gp, ga, h, cache):
         rot = _batched_so3_exp(np.sqrt(h) * gp)
-        z = _batched_reorthonormalize(np.einsum("nij,njk->nik", rot, cache["z"]))
-        x_new = np.einsum("nij,nj->ni", z, cache["x0"])
-        y_new = np.einsum("nij,nj->ni", z, cache["y0"])
+        z = _batched_reorthonormalize(rot @ cache["z"])
+        x_new = (z @ cache["x0"][:, :, None])[:, :, 0]
+        y_new = (z @ cache["y0"][:, :, None])[:, :, 0]
         return x_new, y_new, {"z": z, "x0": cache["x0"], "y0": cache["y0"]}
 
 
@@ -675,8 +689,9 @@ class RotationCoupling(CouplingStrategy):
         return _transport_rotate_noise(self.space, x, y, rho, gp, self._alpha(rho))
 
     def move(self, x, y, gp, ga, h, cache):
-        tangents = self.noise_tangents(x, y, gp)
-        moved = self.space.exp_tangent(np.stack((x, y)), np.sqrt(h) * tangents)
+        tangents = np.sqrt(h) * self.noise_tangents(x, y, gp)
+        check_step_length(self.space, tangents)
+        moved = self.space.exp_tangent(np.stack((x, y)), tangents)
         return moved[0], moved[1], cache
 
 

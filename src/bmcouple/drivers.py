@@ -28,15 +28,6 @@ class NoiseStream:
     def standard_normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)
 
-    def step_noise(self, primary_dim: int, aux_dim: int = 0, n: int | None = None) -> "StepNoise":
-        shape = (primary_dim,) if n is None else (n, primary_dim)
-        primary = self._gen.standard_normal(shape)
-        aux = None
-        if aux_dim:
-            aux_shape = (aux_dim,) if n is None else (n, aux_dim)
-            aux = self._gen.standard_normal(aux_shape)
-        return StepNoise(primary=primary, auxiliary=aux)
-
 
 @dataclass
 class StepNoise:
@@ -74,13 +65,19 @@ def geodesic_walk_step(space: ModelSpace, x, noise, h: float, frame) -> np.ndarr
     x = np.asarray(x, float)
     noise = np.asarray(noise, float)
     tangent = np.sqrt(h) * np.einsum("...j,...ja->...a", noise, np.asarray(frame, float))
+    check_step_length(space, tangent)
+    return space.exp_tangent(x, tangent)
+
+
+def check_step_length(space: ModelSpace, tangent) -> None:
+    """Raise StepTooLargeError if a tangent step on the sphere is pi/2 or longer;
+    every geodesic step, the walk's and the rotation coupling's, obeys it."""
     if space.curvature == 1:
         lengths = space.metric_norm(tangent)
         if np.any(lengths >= np.pi / 2.0):
             raise StepTooLargeError(
                 f"step length {np.max(lengths):.4f} >= pi/2; decrease the step size"
             )
-    return space.exp_tangent(x, tangent)
 
 
 def kendall_compose(j, k, db, dc) -> np.ndarray:
@@ -105,47 +102,6 @@ def kendall_compose(j, k, db, dc) -> np.ndarray:
     if resid > 1e-10:
         raise CouplingConstraintError(f"J J' + K K' deviates from I by {resid:.3e}")
     return out
-
-
-def so3_exp(omega) -> np.ndarray:
-    """Matrix exponential of the cross-product matrix of omega (axis-angle form)."""
-    omega = np.asarray(omega, float)
-    theta = float(np.linalg.norm(omega))
-    if theta < 1e-154:
-        return np.eye(3)
-    axis = omega / theta
-    hat = np.array(
-        [
-            [0.0, -axis[2], axis[1]],
-            [axis[2], 0.0, -axis[0]],
-            [-axis[1], axis[0], 0.0],
-        ]
-    )
-    return np.eye(3) + np.sin(theta) * hat + (1.0 - np.cos(theta)) * (hat @ hat)
-
-
-def reorthonormalize_rotation(z: np.ndarray) -> np.ndarray:
-    """Project a near-rotation 3x3 matrix back onto SO(3) (Gram-Schmidt on rows)."""
-    r0 = z[0] / np.linalg.norm(z[0])
-    r1 = z[1] - np.dot(r0, z[1]) * r0
-    r1 /= np.linalg.norm(r1)
-    r2 = np.cross(r0, r1)
-    return np.array([r0, r1, r2])
-
-
-def so3_flow_step(z, noise, h: float) -> np.ndarray:
-    """One step of the rotation-group random walk Z -> exp(sqrt(h) [noise]_x) Z.
-
-    The unit generator scaling makes Z_t x a spherical Brownian motion with
-    generator Laplacian/2 (linear functionals decay like exp(-t)).
-    """
-    if h <= 0.0:
-        raise DomainError(f"step size must be positive, got {h}")
-    z = np.asarray(z, float)
-    if z.shape != (3, 3):
-        raise DomainError(f"rotation state must be 3x3, got {z.shape}")
-    rot = so3_exp(np.sqrt(h) * np.asarray(noise, float))
-    return reorthonormalize_rotation(rot @ z)
 
 
 # -- one-step spectral factors (deterministic weak-error diagnostics) ---------

@@ -322,11 +322,13 @@ def gen_cos(curvature: int, rho) -> np.ndarray:
     return np.cosh(rho)
 
 
-def _check_geodesic_length(curvature: int, rho: float) -> None:
-    if rho <= 0.0:
-        raise DomainError(f"geodesic length must be positive, got {rho}")
-    if curvature == 1 and rho >= np.pi:
-        raise ConjugatePointError(f"length {rho} reaches the first conjugate point at pi")
+def _check_geodesic_length(curvature, rho) -> None:
+    rho = np.asarray(rho, float)
+    if np.any(rho <= 0.0):
+        raise DomainError(f"geodesic length must be positive, got {np.min(rho)}")
+    conjugate = (np.asarray(curvature) == 1) & (rho >= np.pi)
+    if np.any(conjugate):
+        raise ConjugatePointError(f"length {np.max(rho[conjugate])} reaches the first conjugate point at pi")
 
 
 def jacobi_coefficients(curvature: int, rho: float, s) -> tuple[np.ndarray, np.ndarray]:
@@ -365,72 +367,87 @@ def index_form_closed(curvature: int, rho: float) -> IndexFormValues:
     return IndexFormValues(i11=gc / gs, i22=gc / gs, i12=-1.0 / gs, rho=rho)
 
 
-def _jacobi_scalar_basis(curvature: int, rho: float, n_steps: int):
+def _jacobi_scalar_basis(curvature, rho, n_steps: int):
     """RK4 solutions of w'' + r w = 0 on [0, rho]: the (w(0), w'(0)) = (1, 0)
-    and (0, 1) solutions with their derivatives on a uniform grid."""
+    and (0, 1) solutions with their derivatives on a uniform grid.
+
+    Curvature and rho broadcast to one batch shape, solved together; w and wd
+    have shape (2, *batch, n_steps + 1), the first axis picking the solution.
+    """
     if n_steps % 2:
         n_steps += 1
-    h = rho / n_steps
-    state = np.array([[1.0, 0.0], [0.0, 1.0]])  # rows: (w, wdot) per basis solution
-    w = np.empty((2, n_steps + 1))
-    wd = np.empty((2, n_steps + 1))
-    w[:, 0] = state[:, 0]
-    wd[:, 0] = state[:, 1]
-    r = float(curvature)
-
-    def rhs(y):
-        return np.column_stack([y[:, 1], -r * y[:, 0]])
-
+    rho = np.asarray(rho, float)
+    neg_r = -np.asarray(curvature, float)
+    shape = np.broadcast_shapes(neg_r.shape, rho.shape)
+    h = np.broadcast_to(rho / n_steps, shape)
+    half, sixth = 0.5 * h, h / 6.0
+    # the state stacks (w, w') over (solution, *batch); the right-hand side
+    # (w', -r w) is the state reversed along its first axis, times (1, -r)
+    scale = np.stack(np.broadcast_arrays(np.ones(shape), neg_r))[:, None]
+    traj = np.empty((n_steps + 1, 2, 2) + shape)
+    traj[0] = np.eye(2).reshape((2, 2) + (1,) * len(shape))
+    state = traj[0]
     for i in range(n_steps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        w[:, i + 1] = state[:, 0]
-        wd[:, i + 1] = state[:, 1]
-    return h, w, wd
+        k1 = state[::-1] * scale
+        k2 = (state + half * k1)[::-1] * scale
+        k3 = (state + half * k2)[::-1] * scale
+        k4 = (state + h * k3)[::-1] * scale
+        state = traj[i + 1] = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    w, wd = np.moveaxis(traj, 0, -1)
+    return h, w.copy(), wd.copy()
 
 
-def _simpson(values: np.ndarray, h: float) -> float:
+def _simpson(values: np.ndarray, h):
+    """Composite Simpson rule over the last axis; a float for one integrand."""
     n = values.shape[-1] - 1
     weights = np.ones(n + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(np.sum(weights * values) * h / 3.0)
+    out = np.sum(weights * values, axis=-1) * h / 3.0
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def _boundary_solution(curvature, rho, boundary, n_steps):
-    a, b = float(boundary[0]), float(boundary[1])
-    h, w, wd = _jacobi_scalar_basis(curvature, rho, n_steps)
-    u, v = w[0], w[1]
-    ud, vd = wd[0], wd[1]
-    if abs(v[-1]) < 1e-14:
+def _boundary_solution(basis, boundary):
+    """The field with boundary values (a, b) at s = 0 and s = rho, and its
+    derivative, from a solved basis; a and b broadcast over its batch shape."""
+    _, (u, v), (ud, vd) = basis
+    a, b = (np.asarray(value, float)[..., None] for value in boundary)
+    if np.any(np.abs(v[..., -1]) < 1e-14):
         raise ConjugatePointError("boundary value problem hits a conjugate point")
-    beta = (b - a * u[-1]) / v[-1]
-    return h, a * u + beta * v, a * ud + beta * vd
+    beta = (b - a * u[..., -1:]) / v[..., -1:]
+    return a * u + beta * v, a * ud + beta * vd
 
 
-def index_form_quadrature(
-    curvature: int, rho: float, boundary=(1.0, 0.0), n_steps: int = 4096
-) -> float:
+def index_form_quadrature(curvature, rho, boundary=(1.0, 0.0), n_steps: int = 4096):
     """Index form of the perpendicular Jacobi field with given scalar boundary values.
 
     Independent of the closed forms: the field is produced by Runge-Kutta
     integration of w'' + r w = 0 and the second-variation integral
     of (w'^2 - r w^2) is evaluated by composite Simpson quadrature.
+    Curvature, rho and the boundary values broadcast: arrays of cases are
+    solved in one batch, and scalars return a float.
     """
     _check_geodesic_length(curvature, rho)
-    h, w, wd = _boundary_solution(curvature, rho, boundary, n_steps)
-    return _simpson(wd * wd - curvature * w * w, h)
+    basis = _jacobi_scalar_basis(curvature, rho, n_steps)
+    w, wd = _boundary_solution(basis, boundary)
+    return _simpson(wd * wd - np.asarray(curvature)[..., None] * w * w, basis[0])
 
 
-def index_form_cross_quadrature(curvature: int, rho: float, n_steps: int = 4096) -> float:
-    """Quadrature value of the bilinear index pairing of the two half-Jacobi fields."""
+def _half_field_index_forms(curvature, rho, n_steps: int = 4096):
+    """Quadrature index values (i11, i22, i12) of the two half-Jacobi fields,
+    the counterparts of ``index_form_closed``, from one basis solve.
+    Curvature and rho broadcast like ``index_form_quadrature``."""
     _check_geodesic_length(curvature, rho)
-    h, w1, w1d = _boundary_solution(curvature, rho, (1.0, 0.0), n_steps)
-    _, w2, w2d = _boundary_solution(curvature, rho, (0.0, 1.0), n_steps)
-    return _simpson(w1d * w2d - curvature * w1 * w2, h)
+    basis = _jacobi_scalar_basis(curvature, rho, n_steps)
+    (w1, w1d), (w2, w2d) = (_boundary_solution(basis, ends) for ends in ((1.0, 0.0), (0.0, 1.0)))
+    r = np.asarray(curvature)[..., None]
+    pairs = ((w1, w1d, w1, w1d), (w2, w2d, w2, w2d), (w1, w1d, w2, w2d))
+    return tuple(_simpson(fd * gd - r * f * g, basis[0]) for f, fd, g, gd in pairs)
+
+
+def index_form_cross_quadrature(curvature, rho, n_steps: int = 4096):
+    """Quadrature value of the bilinear index pairing of the two half-Jacobi fields."""
+    return _half_field_index_forms(curvature, rho, n_steps)[2]
 
 
 def field_index_form(curvature: int, rho: float, w, wdot, n_steps: int = 4096) -> float:

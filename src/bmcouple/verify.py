@@ -19,10 +19,10 @@ from .errors import DomainError
 from .simulate import run_paths
 from .spaces import (
     ModelSpace,
+    _half_field_index_forms,
     field_index_form,
     gen_cos,
     gen_sin,
-    index_form_cross_quadrature,
     index_form_quadrature,
 )
 
@@ -414,33 +414,29 @@ def drift_identity_check(
         alpha_grid = [i * np.pi / 4.0 for i in range(5)]
     if rho_grid is None:
         rho_grid = list(np.linspace(0.1, 2.5, 13))
+    cases = [(r, rho) for r in curvatures for rho in rho_grid if not (r == 1 and rho >= np.pi)]
+    forms = _half_field_index_forms(*np.array(cases, float).reshape(-1, 2).T, quad_steps)
     worst = 0.0
     rows = []
-    for r in curvatures:
-        for rho in rho_grid:
-            if r == 1 and rho >= np.pi:
-                continue
-            i11 = index_form_quadrature(r, rho, (1.0, 0.0), quad_steps)
-            i22 = index_form_quadrature(r, rho, (0.0, 1.0), quad_steps)
-            i12 = index_form_cross_quadrature(r, rho, quad_steps)
-            for d in dims:
-                space = ModelSpace(r, d)
-                for alpha in alpha_grid:
-                    closed = float(distance_drift(space, alpha, rho))
-                    assembled = (d - 1) * (0.5 * (i11 + i22) + np.cos(alpha) * i12)
-                    err = abs(closed - assembled) / max(1.0, abs(closed))
-                    worst = max(worst, err)
-                    rows.append(
-                        {
-                            "curvature": r,
-                            "dim": d,
-                            "alpha": float(alpha),
-                            "rho": float(rho),
-                            "closed": closed,
-                            "assembled": float(assembled),
-                            "rel_err": float(err),
-                        }
-                    )
+    for (r, rho), i11, i22, i12 in zip(cases, *forms):
+        for d in dims:
+            space = ModelSpace(r, d)
+            for alpha in alpha_grid:
+                closed = float(distance_drift(space, alpha, rho))
+                assembled = (d - 1) * (0.5 * (i11 + i22) + np.cos(alpha) * i12)
+                err = abs(closed - assembled) / max(1.0, abs(closed))
+                worst = max(worst, err)
+                rows.append(
+                    {
+                        "curvature": r,
+                        "dim": d,
+                        "alpha": float(alpha),
+                        "rho": float(rho),
+                        "closed": closed,
+                        "assembled": float(assembled),
+                        "rel_err": float(err),
+                    }
+                )
     # closed-form spot identities
     special = 0.0
     for rho in rho_grid:
@@ -465,12 +461,16 @@ def field_index_form_check(n_cases: int = 100, seed: int = 42) -> dict:
     sine bumps vanishing at both ends.
     """
     rng = np.random.default_rng(seed)
-    worst = np.inf
+    cases = []
     for _ in range(n_cases):
         r = int(rng.integers(-1, 2))
         rho = float(rng.uniform(0.2, 2.8 if r == 1 else 3.5))
         a, b = rng.uniform(-2.0, 2.0, size=2)
-        coeffs = rng.uniform(-0.5, 0.5, size=3)
+        cases.append((r, rho, a, b, rng.uniform(-0.5, 0.5, size=3)))
+    r, rho, a, b = (np.array([case[i] for case in cases]) for i in range(4))
+    jacobi_values = index_form_quadrature(r, rho, (a, b))
+    worst = np.inf
+    for (r, rho, a, b, coeffs), jacobi_value in zip(cases, jacobi_values):
 
         def w(s, a=a, b=b, rho=rho, coeffs=coeffs):
             out = a + (b - a) * s / rho
@@ -484,7 +484,6 @@ def field_index_form_check(n_cases: int = 100, seed: int = 42) -> dict:
                 out = out + cm * (m * np.pi / rho) * np.cos(m * np.pi * s / rho)
             return out
 
-        jacobi_value = index_form_quadrature(r, rho, (a, b))
         competitor_value = field_index_form(r, rho, w, wdot)
         worst = min(worst, competitor_value - jacobi_value)
     return {"n_cases": n_cases, "worst_margin": float(worst), "pass": bool(worst > -1e-9)}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from bmcouple.drivers import StepNoise
 from bmcouple.errors import DegenerateInputError, DomainError
 
 UNIT_TOL = 1e-12
@@ -113,3 +114,56 @@ def rotation_noise_tangents(space, x, y, gp, alpha):
     xi = np.einsum("nj,nja->na", gp[:, :d], frame_x)
     eta = np.einsum("nj,nja->na", rotated[:, :d], frame_y)
     return xi, eta
+
+
+def so3_exp(omega) -> np.ndarray:
+    """Matrix exponential of the cross-product matrix of omega (axis-angle form)."""
+    omega = np.asarray(omega, float)
+    theta = float(np.linalg.norm(omega))
+    if theta < 1e-154:
+        return np.eye(3)
+    axis = omega / theta
+    hat = np.array(
+        [
+            [0.0, -axis[2], axis[1]],
+            [axis[2], 0.0, -axis[0]],
+            [-axis[1], axis[0], 0.0],
+        ]
+    )
+    return np.eye(3) + np.sin(theta) * hat + (1.0 - np.cos(theta)) * (hat @ hat)
+
+
+def reorthonormalize_rotation(z: np.ndarray) -> np.ndarray:
+    """Project a near-rotation 3x3 matrix back onto SO(3) (Gram-Schmidt on rows)."""
+    r0 = z[0] / np.linalg.norm(z[0])
+    r1 = z[1] - np.dot(r0, z[1]) * r0
+    r1 /= np.linalg.norm(r1)
+    r2 = np.cross(r0, r1)
+    return np.array([r0, r1, r2])
+
+
+def so3_flow_step(z, noise, h: float) -> np.ndarray:
+    """One step of the rotation-group random walk Z -> exp(sqrt(h) [noise]_x) Z.
+
+    The unit generator scaling makes Z_t x a spherical Brownian motion with
+    generator Laplacian/2 (linear functionals decay like exp(-t)).
+    """
+    if h <= 0.0:
+        raise DomainError(f"step size must be positive, got {h}")
+    z = np.asarray(z, float)
+    if z.shape != (3, 3):
+        raise DomainError(f"rotation state must be 3x3, got {z.shape}")
+    rot = so3_exp(np.sqrt(h) * np.asarray(noise, float))
+    return reorthonormalize_rotation(rot @ z)
+
+
+def step_noise(stream, primary_dim: int, aux_dim: int = 0, n: int | None = None) -> StepNoise:
+    """One step's draws from a NoiseStream: the primary block, then the
+    auxiliary block if aux_dim > 0; n adds a leading path axis."""
+    shape = (primary_dim,) if n is None else (n, primary_dim)
+    primary = stream.standard_normal(shape)
+    aux = None
+    if aux_dim:
+        aux_shape = (aux_dim,) if n is None else (n, aux_dim)
+        aux = stream.standard_normal(aux_shape)
+    return StepNoise(primary=primary, auxiliary=aux)

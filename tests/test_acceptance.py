@@ -43,6 +43,17 @@ def test_03_exact_invariant_suite():
     report(exact_invariant_suite(n_steps=1_000_000))
 
 
+def test_03_exact_invariant_translation_line_is_pinned():
+    # the translation path draws stream (3003, 0) in the order of the former
+    # hand-written loop, so its detail must not move
+    translation = exact_invariant_suite(n_steps=10_000)["lines"][0]
+    assert translation == {
+        "label": "translation distance drift over 10000 steps",
+        "ok": True,
+        "detail": "max |drift| 1.110e-16",
+    }
+
+
 def test_04_distance_law_suite():
     report(distance_law_suite(rho0=1.0, n_paths=200, h_ladder=(4e-3, 2e-3, 1e-3, 5e-4)))
 
@@ -51,8 +62,16 @@ def test_05_consistency_suite():
     report(consistency_suite(rho0=1.0, n_paths=200))
 
 
+def test_05_consistency_suite_same_on_one_and_two_threads():
+    # the seed contract: output depends on (seed, path id) only
+    assert consistency_suite(n_paths=50, threads=1) == consistency_suite(n_paths=50, threads=2)
+
+
 def test_06_marginal_suite():
-    report(marginal_suite(rho0=1.0, n_paths=10_000))
+    # 10 000 paths gain from the second core; the 200- and 500-path suites
+    # above and below lose to it (their steps are too small to overlap), so
+    # they stay on one thread
+    report(marginal_suite(rho0=1.0, n_paths=10_000, threads=2))
 
 
 def test_07_infeasibility_suite():

@@ -6,7 +6,7 @@ import pytest
 
 from bmcouple.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, SimConfig, main
 from bmcouple.couplings import RotationCoupling
-from bmcouple.verify import LAW_TOL
+from bmcouple.verify import LAW_TOL, REPORT_KEYS
 
 
 def read(path):
@@ -32,6 +32,7 @@ class TestSimulate:
         assert set(summary) == {
             "strategy", "law", "n_paths", "h_ladder", "sup_err", "fitted_order", "z_scores", "pass",
         }
+        assert set(summary) == set(REPORT_KEYS)
 
     def test_law_comparison_written(self, tmp_path):
         code = main(
@@ -145,6 +146,7 @@ class TestSimulate:
         "args",
         [
             ["--strategy", "independent", "--h", "0.5", "--T", "1"],  # StepTooLargeError
+            ["--strategy", "rotation", "--k", "0", "--h", "0.5", "--T", "1"],  # StepTooLargeError
             ["--strategy", "rotation", "--k", "0", "--rho0", "3.1415926535"],  # CutLocusError
         ],
     )

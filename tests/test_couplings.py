@@ -8,6 +8,7 @@ from bmcouple.couplings import (
     STRATEGIES,
     PatchedCoupling,
     RotationCoupling,
+    _cross,
     distance_drift,
     feasible_rate_interval,
     make_strategy,
@@ -20,6 +21,7 @@ from bmcouple.errors import (
     DegenerateInputError,
     DomainError,
     InfeasibleRateError,
+    StepTooLargeError,
 )
 from bmcouple.simulate import run_paths
 from bmcouple.spaces import ModelSpace, gen_cos, gen_sin
@@ -40,7 +42,7 @@ def step_many(strategy, x0, y0, n_paths, h, n_steps, seed=0):
     state = strategy.initial_state(x0, y0, n_paths)
     stream = NoiseStream(seed)
     for _ in range(n_steps):
-        noise = stream.step_noise(strategy.primary_dim, strategy.aux_dim, n=n_paths)
+        noise = sm.step_noise(stream, strategy.primary_dim, strategy.aux_dim, n=n_paths)
         state = strategy.step(state, noise, h)
     return state
 
@@ -66,7 +68,7 @@ class TestTranslation:
         state = strategy.initial_state(x0, y0, 4)
         stream = NoiseStream(3)
         for _ in range(1000):
-            noise = stream.step_noise(2, n=4)
+            noise = sm.step_noise(stream, 2, n=4)
             state = strategy.step(state, noise, 1e-3)
             # the carried offset is bitwise constant; reconstructing the
             # difference from the moved points costs at most a few ulp
@@ -116,7 +118,7 @@ class TestMirror:
         normal0 = (state.x - state.y)[0]
         normal0 /= np.linalg.norm(normal0)
         for _ in range(200):
-            state = strategy.step(state, stream.step_noise(3, n=1), 1e-4)
+            state = strategy.step(state, sm.step_noise(stream, 3, n=1), 1e-4)
             if state.cache["glued"][0]:
                 break
             normal = (state.x - state.y)[0]
@@ -146,7 +148,7 @@ class TestExtrinsicPair:
         state = strategy.initial_state(x0, -x0, 4)
         stream = NoiseStream(9)
         for _ in range(200):
-            state = strategy.step(state, stream.step_noise(3, n=4), 1e-3)
+            state = strategy.step(state, sm.step_noise(stream, 3, n=4), 1e-3)
             assert np.max(np.abs(state.y + state.x)) < 1e-12
 
     def test_expand_equals_contract_through_antipode(self):
@@ -159,8 +161,8 @@ class TestExtrinsicPair:
         sc = contract.initial_state(x0, -y0, 2)
         stream_a, stream_b = NoiseStream(4), NoiseStream(4)
         for _ in range(300):
-            se = expand.step(se, stream_a.step_noise(3, n=2), 1e-3)
-            sc = contract.step(sc, stream_b.step_noise(3, n=2), 1e-3)
+            se = expand.step(se, sm.step_noise(stream_a, 3, n=2), 1e-3)
+            sc = contract.step(sc, sm.step_noise(stream_b, 3, n=2), 1e-3)
             assert np.max(np.abs(se.y + sc.y)) < 1e-10
             assert np.max(np.abs(se.x - sc.x)) < 1e-15
 
@@ -208,7 +210,7 @@ class TestFixedDistance:
         state = strategy.initial_state(S2.base_point(), S2.point_at_distance(1.0), 3)
         state.x[1] *= 1.0 + 1e-8
         with pytest.raises(CouplingConstraintError):
-            strategy.step(state, NoiseStream(3).step_noise(3, 3, n=3), 1e-3)
+            strategy.step(state, sm.step_noise(NoiseStream(3), 3, 3, n=3), 1e-3)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_noise_map_rejects_parallel_pairs(self, sign):
@@ -280,7 +282,7 @@ class TestSo3Flow:
         stream = NoiseStream(12)
         worst = 0.0
         for _ in range(2000):
-            state = strategy.step(state, stream.step_noise(3, n=4), 1e-3)
+            state = strategy.step(state, sm.step_noise(stream, 3, n=4), 1e-3)
             worst = max(worst, float(np.max(np.abs(S2.distance(state.x, state.y) - d0))))
         assert worst < 1e-12
 
@@ -290,8 +292,38 @@ class TestSo3Flow:
         state = step_many(strategy, x0, x0, 4, 1e-3, 300)
         assert np.array_equal(state.x, state.y)
 
+    def test_one_row_move_tracks_the_scalar_oracle(self):
+        # the batched exp / Gram-Schmidt kernel against the one-rotation walk
+        strategy = make_strategy("so3-flow", S2)
+        x0, y0 = S2.base_point(), S2.point_at_distance(1.0)
+        state = strategy.initial_state(x0, y0, 1)
+        z = np.eye(3)
+        worst = 0.0
+        for g in NoiseStream(31).standard_normal((10_000, 3)):
+            state = strategy.step(state, StepNoise(primary=g[None]), 1e-3)
+            z = sm.so3_flow_step(z, g, 1e-3)
+            moved = np.concatenate([state.cache["z"][0] - z, [state.x[0] - z @ x0, state.y[0] - z @ y0]])
+            worst = max(worst, float(np.max(np.abs(moved))))
+        assert worst < 1e-14
+
+
+def test_cross_is_numpys_bitwise():
+    rng = np.random.default_rng(44)
+    for shape in ((1, 3), (1000, 3), (2, 5, 3)):
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        assert np.array_equal(_cross(a, b), np.cross(a, b))
+
 
 class TestRotationCoupling:
+    def test_step_of_quarter_circle_or_longer_is_rejected(self):
+        # the geodesic walk's rule: a tangent step of length >= pi/2 on the sphere
+        strategy = make_strategy("rotation", S2, k=0.0)
+        state = strategy.initial_state(S2.base_point(), S2.point_at_distance(1.0), 2)
+        gp = np.array([[0.1, 0.2, -0.1], [0.0, 2.3, 0.0]])
+        with pytest.raises(StepTooLargeError):
+            strategy.step(state, StepNoise(primary=gp), 0.5)
+        strategy.step(state, StepNoise(primary=gp), 0.4)
+
     def test_requires_exactly_one_parameter(self):
         with pytest.raises(DomainError):
             RotationCoupling(S2)
@@ -401,7 +433,7 @@ class TestRotationCoupling:
         strategy = RotationCoupling(S2, alpha_override=0.0)
         x0, y0 = S2.base_point(), S2.point_at_distance(rho0)
         state = strategy.initial_state(x0, y0, n)
-        noise = NoiseStream(21).step_noise(3, n=n)
+        noise = sm.step_noise(NoiseStream(21), 3, n=n)
         out = strategy.step(state, noise, h)
         drift = (np.mean(S2.distance(out.x, out.y)) - rho0) / h
         target = -np.tan(rho0 / 2.0)
@@ -424,7 +456,7 @@ class TestRotationCoupling:
         stream = NoiseStream(17)
         with pytest.raises(InfeasibleRateError):
             for _ in range(5000):
-                state = strategy.step(state, stream.step_noise(3, n=64), 1e-3)
+                state = strategy.step(state, sm.step_noise(stream, 3, n=64), 1e-3)
 
 
 def _geodesic_points(space, x, rng, lo, hi):

@@ -5,9 +5,6 @@ from bmcouple.drivers import (
     NoiseStream,
     geodesic_walk_step,
     kendall_compose,
-    reorthonormalize_rotation,
-    so3_exp,
-    so3_flow_step,
     stroock_linear_factor,
     stroock_step,
     walk_linear_factor,
@@ -15,7 +12,7 @@ from bmcouple.drivers import (
 from bmcouple.errors import CouplingConstraintError, DomainError, StepTooLargeError
 from bmcouple.spaces import ModelSpace
 from bmcouple.verify import convergence_order_fit
-from smallmat import fixed_distance_matrices
+from smallmat import fixed_distance_matrices, reorthonormalize_rotation, so3_exp, so3_flow_step, step_noise
 
 
 class TestNoiseStream:
@@ -30,10 +27,10 @@ class TestNoiseStream:
         assert not np.array_equal(a, b)
 
     def test_step_noise_shapes(self):
-        noise = NoiseStream(5).step_noise(3, 2, n=10)
+        noise = step_noise(NoiseStream(5), 3, 2, n=10)
         assert noise.primary.shape == (10, 3)
         assert noise.auxiliary.shape == (10, 2)
-        noise = NoiseStream(5).step_noise(4)
+        noise = step_noise(NoiseStream(5), 4)
         assert noise.primary.shape == (4,)
         assert noise.auxiliary is None
 

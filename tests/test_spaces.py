@@ -170,17 +170,43 @@ class TestIndexForms:
 
     @pytest.mark.parametrize("r", [-1, 0, 1])
     def test_closed_matches_quadrature(self, r):
-        for rho in np.linspace(0.1, 2.5, 9):
+        rhos = np.linspace(0.1, 2.5, 9)
+        q11 = index_form_quadrature(r, rhos, (1.0, 0.0))
+        q22 = index_form_quadrature(r, rhos, (0.0, 1.0))
+        q12 = index_form_cross_quadrature(r, rhos)
+        for rho, b11, b22, b12 in zip(rhos, q11, q22, q12):
             closed = index_form_closed(r, rho)
-            assert index_form_quadrature(r, rho, (1.0, 0.0)) == pytest.approx(
-                closed.i11, abs=1e-6 * max(1.0, abs(closed.i11))
-            )
-            assert index_form_quadrature(r, rho, (0.0, 1.0)) == pytest.approx(
-                closed.i22, abs=1e-6 * max(1.0, abs(closed.i22))
-            )
-            assert index_form_cross_quadrature(r, rho) == pytest.approx(
-                closed.i12, abs=1e-6 * max(1.0, abs(closed.i12))
-            )
+            assert b11 == pytest.approx(closed.i11, abs=1e-6 * max(1.0, abs(closed.i11)))
+            assert b22 == pytest.approx(closed.i22, abs=1e-6 * max(1.0, abs(closed.i22)))
+            assert b12 == pytest.approx(closed.i12, abs=1e-6 * max(1.0, abs(closed.i12)))
+
+    def test_batch_equals_one_case_at_a_time(self):
+        # the acceptance grid; the batch must not change a single bit
+        curvatures = np.repeat([-1, 0, 1], 13)
+        rhos = np.tile(np.linspace(0.1, 2.5, 13), 3)
+        a, b = np.random.default_rng(9).uniform(-2.0, 2.0, size=(2, 39))
+        cases = list(zip(curvatures.tolist(), rhos.tolist(), a.tolist(), b.tolist()))
+        batched = [
+            index_form_quadrature(curvatures, rhos, (1.0, 0.0)),
+            index_form_quadrature(curvatures, rhos, (0.0, 1.0)),
+            index_form_quadrature(curvatures, rhos, (a, b)),
+            index_form_cross_quadrature(curvatures, rhos),
+        ]
+        single = [
+            [index_form_quadrature(r, rho, (1.0, 0.0)) for r, rho, _, _ in cases],
+            [index_form_quadrature(r, rho, (0.0, 1.0)) for r, rho, _, _ in cases],
+            [index_form_quadrature(r, rho, (ca, cb)) for r, rho, ca, cb in cases],
+            [index_form_cross_quadrature(r, rho) for r, rho, _, _ in cases],
+        ]
+        for got, want in zip(batched, single):
+            assert isinstance(want[0], float)
+            assert np.array_equal(got, np.array(want))
+
+    def test_batch_with_one_conjugate_case_rejected(self):
+        with pytest.raises(ConjugatePointError):
+            index_form_quadrature(np.array([0, 1, -1]), np.array([1.0, np.pi, 2.0]))
+        with pytest.raises(ConjugatePointError):
+            index_form_cross_quadrature(1, np.array([0.5, 3.5]))
 
     def test_curvature_comparison_of_half_fields(self):
         # higher curvature gives the smaller index value at equal length
@@ -195,11 +221,15 @@ class TestIndexForms:
 
     def test_jacobi_minimizes_against_linear_field(self):
         rng = np.random.default_rng(8)
+        cases = []
         for _ in range(100):
             r = int(rng.integers(-1, 2))
             rho = float(rng.uniform(0.2, 2.8 if r == 1 else 3.5))
             a, b = rng.uniform(-2, 2, size=2)
-            jac = index_form_quadrature(r, rho, (a, b))
+            cases.append((r, rho, a, b))
+        r, rho, a, b = (np.array(column) for column in zip(*cases))
+        jacobi = index_form_quadrature(r, rho, (a, b))
+        for (r, rho, a, b), jac in zip(cases, jacobi):
             lin = field_index_form(
                 r,
                 rho,
