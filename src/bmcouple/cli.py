@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,6 +37,10 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
+# a second thread pays for itself only on batches this large: the per-step
+# numpy calls of smaller ones are too short to overlap under the interpreter lock
+PATHS_PER_THREAD = 2048
+
 
 @dataclass
 class SimConfig:
@@ -55,7 +59,7 @@ class SimConfig:
     paths: int = 100
     seed: int = 0
     record_stride: int = 1
-    threads: int = field(default_factory=lambda: os.cpu_count() or 1)
+    threads: int | None = None  # None: one per PATHS_PER_THREAD paths, up to the CPU count
     law: str | None = None
     out: str | None = None
 
@@ -125,6 +129,9 @@ def cmd_simulate(config: SimConfig) -> int:
     )
     x0, y0 = _start_points(config, space)
     law = None if config.law is None else build_law(config.law, space, x0, y0, config.k)
+    threads = config.threads
+    if threads is None:
+        threads = min(max(1, config.paths // PATHS_PER_THREAD), os.cpu_count() or 1)
     record = run_paths(
         strategy,
         x0,
@@ -134,7 +141,7 @@ def cmd_simulate(config: SimConfig) -> int:
         n_paths=config.paths,
         seed=config.seed,
         record_stride=config.record_stride,
-        threads=config.threads,
+        threads=threads,
     )
     summary = dict.fromkeys(REPORT_KEYS)
     summary.update(
@@ -269,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--paths", type=int, help="number of Monte Carlo paths")
     sim.add_argument("--seed", type=int, help=f"base seed (default from ${SEED_ENV_VAR} or 0)")
     sim.add_argument("--record-stride", type=int, dest="record_stride")
-    sim.add_argument("--threads", type=int)
+    sim.add_argument("--threads", type=int, help=f"worker threads (default: one per {PATHS_PER_THREAD} paths, up to the CPU count)")
     sim.add_argument("--law", help="optional closed-form law to compare against")
     sim.add_argument("--out", help="output directory (default: current)")
 

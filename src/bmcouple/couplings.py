@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
     InfeasibleRateError,
 )
-from .spaces import ANTIPODE_TOL, ModelSpace, gen_cos, gen_sin
+from .spaces import ANTIPODE_TOL, ModelSpace, gen_cos, gen_sin, rowsum
 
 COUPLED = 0
 INDEPENDENT = 1
@@ -218,13 +218,12 @@ class MirrorS2(CouplingStrategy):
         glued = cache["glued"]
         x_new = stroock_step(x, gp, h)
         normal = x - y  # bisector plane through the origin with this normal
-        norms = np.linalg.norm(normal, axis=-1, keepdims=True)
-        unit = normal / np.maximum(norms, 1e-300)
-        reflected = gp - 2.0 * np.sum(unit * gp, axis=-1, keepdims=True) * unit
+        unit = normal / np.maximum(_row_norms(normal), 1e-300)
+        reflected = gp - 2.0 * rowsum(unit * gp)[:, None] * unit
         y_new = stroock_step(y, reflected, h)
         # before the move x . normal = 1 - x.y > 0; a sign change means the
         # mirror plane was crossed during this step
-        crossed = np.sum(x_new * normal, axis=-1) < 0.0
+        crossed = rowsum(x_new * normal) < 0.0
         glued_new = glued | crossed
         y_new = np.where(glued_new[:, None], x_new, y_new)
         return x_new, y_new, {"glued": glued_new}
@@ -253,21 +252,21 @@ def _rodrigues_apply(x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     without the ill-conditioned 1/(1+c) term; (anti)parallel pairs get the
     +/-I limits.
     """
-    c = np.sum(x * y, axis=-1, keepdims=True)
-    xv = np.sum(x * v, axis=-1, keepdims=True)
+    c = rowsum(x * y)[..., None]
+    xv = rowsum(x * v)[..., None]
     far = c < -0.5
     u = _cross(x, y)
     general = (
         c * v
         + xv * y
-        - np.sum(y * v, axis=-1, keepdims=True) * x
-        + np.sum(u * v, axis=-1, keepdims=True) / np.where(far, 1.0, 1.0 + c) * u
+        - rowsum(y * v)[..., None] * x
+        + rowsum(u * v)[..., None] / np.where(far, 1.0, 1.0 + c) * u
     )
     mid = x + y
-    mid_norm = np.linalg.norm(mid, axis=-1, keepdims=True)
+    mid_norm = _row_norms(mid)
     mid /= np.where(mid_norm > 0.0, mid_norm, 1.0)
     w = v - 2.0 * xv * x
-    reflected = w - 2.0 * np.sum(mid * w, axis=-1, keepdims=True) * mid
+    reflected = w - 2.0 * rowsum(mid * w)[..., None] * mid
     out = np.where(far, reflected, general)
     out = np.where(c >= 1.0 - 1e-12, v, out)
     return np.where(c <= -1.0 + 1e-12, -v, out)
@@ -297,7 +296,7 @@ class ExtrinsicContractS2(CouplingStrategy):
     def move(self, x, y, gp, ga, h, cache):
         x_new = stroock_step(x, gp, h)
         moved = y + _rodrigues_apply(x, y, x_new - x)
-        y_new = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
+        y_new = moved / _row_norms(moved)
         return x_new, y_new, cache
 
 
@@ -327,7 +326,7 @@ class ExtrinsicExpandS2(CouplingStrategy):
     def move(self, x, y, gp, ga, h, cache):
         x_new = stroock_step(x, gp, h)
         moved = y - _rodrigues_apply(x, -y, x_new - x)
-        y_new = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
+        y_new = moved / _row_norms(moved)
         return x_new, y_new, cache
 
 
@@ -404,7 +403,7 @@ class FixedDistanceS2(CouplingStrategy):
         return stroock_step(x, g, h)
 
     def validate_start(self, x, y) -> None:
-        c = np.sum(x * y, axis=-1)
+        c = rowsum(x * y)
         if np.any(np.abs(c) >= 1.0 - 1e-10):
             raise DegenerateInputError("start points must satisfy x != +/-y")
 
@@ -417,9 +416,9 @@ class FixedDistanceS2(CouplingStrategy):
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows, keeping the last axis: the arithmetic of
-    np.linalg.norm(v, axis=-1, keepdims=True) without its dispatch."""
-    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    """Euclidean norms of the rows, keeping the last axis: bitwise
+    np.linalg.norm(v, axis=-1, keepdims=True), without its reduction loop."""
+    return np.sqrt(rowsum(v * v))[..., None]
 
 
 def _batched_so3_exp(omega: np.ndarray) -> np.ndarray:
@@ -442,7 +441,7 @@ def _batched_reorthonormalize(z: np.ndarray) -> np.ndarray:
     """Project near-rotations back onto SO(3) by Gram-Schmidt on the rows."""
     out = np.empty_like(z)
     r0 = out[:, 0] = z[:, 0] / _row_norms(z[:, 0])
-    r1 = z[:, 1] - np.add.reduce(r0 * z[:, 1], axis=-1, keepdims=True) * r0
+    r1 = z[:, 1] - rowsum(r0 * z[:, 1])[:, None] * r0
     r1 = out[:, 1] = r1 / _row_norms(r1)
     out[:, 2] = _cross(r0, r1)
     return out

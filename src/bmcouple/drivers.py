@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CouplingConstraintError, DomainError, StepTooLargeError
-from .spaces import ModelSpace
+from .spaces import ModelSpace, rowsum
 
 
 class NoiseStream:
@@ -49,9 +49,9 @@ def stroock_step(x, noise, h: float) -> np.ndarray:
     x = np.asarray(x, float)
     noise = np.asarray(noise, float)
     scaled = np.sqrt(h) * noise
-    move = scaled - np.sum(x * scaled, axis=-1, keepdims=True) * x
+    move = scaled - rowsum(x * scaled)[..., None] * x
     out = x * (1.0 - h) + move
-    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+    return out / np.sqrt(rowsum(out * out))[..., None]
 
 
 def geodesic_walk_step(space: ModelSpace, x, noise, h: float, frame) -> np.ndarray:

@@ -194,17 +194,21 @@ def run_paths(
         raise DomainError("step size and horizon must be positive")
     if n_paths < 1:
         raise DomainError("need at least one path")
+    if record_stride < 1 or threads < 1:
+        raise DomainError("record_stride and threads must be at least 1")
+    if any(t < 0.0 for t in snapshot_times):
+        raise DomainError("snapshot times must not be negative")
     n_steps = max(1, int(round(t_final / h)))
     record_idx = sorted(set(range(0, n_steps + 1, record_stride)) | {n_steps})
     snapshot_idx = {min(n_steps, int(round(t / h))) for t in snapshot_times}
     strategy.validate_run(x0, y0, np.arange(n_steps + 1) * h)
 
-    ranges = _chunk_ranges(n_paths, max(1, threads))
+    ranges = _chunk_ranges(n_paths, threads)
     jobs = [
         (strategy, x0, y0, h, n_steps, seed, range(lo, hi), record_idx, snapshot_idx, stop)
         for lo, hi in ranges
     ]
-    if len(jobs) == 1 or threads <= 1:
+    if len(jobs) == 1:
         results = [_run_chunk(*job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from bmcouple import cli
 from bmcouple.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, SimConfig, main
 from bmcouple.couplings import RotationCoupling
+from bmcouple.simulate import run_paths
 from bmcouple.verify import LAW_TOL, REPORT_KEYS
 
 
@@ -156,6 +158,28 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("run failed: ") and err.count("\n") == 1
         assert not (tmp_path / "trajectories.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--record-stride", "0"), ("--record-stride", "-3"), ("--threads", "0")])
+    def test_bad_stride_or_threads_is_config_error_and_writes_nothing(self, tmp_path, flag, value):
+        code = main(
+            [
+                "simulate", "--space", "sphere:2", "--strategy", "fixed-s2", "--h", "1e-2", "--T", "0.1",
+                "--paths", "2", flag, value, "--out", str(tmp_path),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "trajectories.csv").exists()
+
+    @pytest.mark.parametrize("paths, threads", [(100, 1), (5000, min(2, os.cpu_count() or 1))])
+    def test_default_threads_follow_the_batch_size(self, tmp_path, monkeypatch, paths, threads):
+        seen = []
+        monkeypatch.setattr(cli, "run_paths", lambda *a, **kw: seen.append(kw["threads"]) or run_paths(*a, **kw))
+        args = ["simulate", "--strategy", "fixed-s2", "--h", "0.05", "--T", "0.05", "--paths", str(paths)]
+        assert main([*args, "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert main([*args, "--threads", "2", "--out", str(tmp_path / "b")]) == EXIT_OK
+        (tmp_path / "run.cfg").write_text("threads = 2\n")
+        assert main([*args, "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "c")]) == EXIT_OK
+        assert seen == [threads, 2, 2]
 
     def test_unknown_strategy_is_config_error(self, tmp_path):
         code = main(

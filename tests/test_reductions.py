@@ -1,0 +1,54 @@
+"""Last-axis reductions in the stepping path: ``rowsum`` and a guard against
+numpy's strided reductions coming back into the kernels."""
+
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+
+from bmcouple.spaces import rowsum
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bmcouple"
+
+
+@pytest.mark.parametrize("length", range(1, 13))
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (200,), (2048,), (2, 200), (200, 3)])
+def test_rowsum_is_numpys_reduction(lead, length):
+    rng = np.random.default_rng(length)
+    for _ in range(20):
+        p = rng.standard_normal(lead + (length,)) * np.exp(rng.uniform(-30.0, 30.0, lead + (length,)))
+        got, want = rowsum(p), np.add.reduce(p, axis=-1)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.sqrt(rowsum(p * p)), np.linalg.norm(p, axis=-1))
+
+
+REDUCTIONS = {"np.sum", "np.add.reduce", "np.linalg.norm"}
+
+
+def _last_axis_reductions(tree) -> list:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in REDUCTIONS:
+            axes = [kw.value for kw in node.keywords if kw.arg == "axis"] + node.args[1:2]
+            if any(ast.unparse(axis) == "-1" for axis in axes):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_stepping_path_has_no_strided_last_axis_reductions():
+    """The stepping path sums short last axes with ``rowsum``; the module-level
+    quadrature in spaces.py keeps numpy's pairwise sums and is out of scope."""
+    found = {}
+    for name in ("couplings.py", "drivers.py", "simulate.py"):
+        found[name] = _last_axis_reductions(ast.parse((SRC / name).read_text()))
+    spaces = ast.parse((SRC / "spaces.py").read_text())
+    (model,) = [node for node in spaces.body if isinstance(node, ast.ClassDef) and node.name == "ModelSpace"]
+    found["spaces.ModelSpace"] = _last_axis_reductions(model)
+    assert found == {name: [] for name in found}
+
+
+def test_guard_sees_each_spelling():
+    code = "np.sum(a, axis=-1); np.add.reduce(a, -1, keepdims=True); np.linalg.norm(a, axis=-1); np.sum(a)"
+    assert len(_last_axis_reductions(ast.parse(code))) == 3

@@ -235,3 +235,20 @@ def test_stopped_so3_flow_path_lies_on_its_bracketing_segment():
 def test_start_outside_the_stop_domain_is_rejected():
     with pytest.raises(DomainError):
         _cap_run("fixed-s2", 4, stop=lambda p: p[:, 2] - 0.99)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"record_stride": 0},
+        {"record_stride": -3},
+        {"snapshot_times": (-0.5,)},
+        {"snapshot_times": (0.1, -1e-9)},
+        {"threads": 0},
+        {"threads": -2},
+    ],
+)
+def test_bad_sampling_arguments_are_rejected(kwargs):
+    args = dict(h=4e-3, t_final=0.2, n_paths=4, seed=1)
+    with pytest.raises(DomainError):
+        run_paths(make_strategy("fixed-s2", S2), S2.base_point(), S2.point_at_distance(1.0), **args, **kwargs)
