@@ -70,29 +70,30 @@ class CouplingStrategy:
     strategy_id: str = ""
     expanding: bool = False  # drives the diagonal patching variant
     patchable: bool = True  # strategies with per-path carried caches opt out
+    aux_dim: int = 0  # width of the second per-step draw; 0 draws none
 
     def __init__(self, space: ModelSpace):
         self.space = space
 
-    # dimensions of the per-step standard-normal draws
+    # width of the first per-step standard-normal draw
     @property
     def primary_dim(self) -> int:
-        raise NotImplementedError
+        return self.space.dim
 
-    @property
-    def aux_dim(self) -> int:
-        return 0
-
-    # dimension of the draw one particle needs to move on its own
+    # width of the draw one particle needs to move on its own
     @property
     def indep_dim(self) -> int:
         return self.space.dim
 
-    def initial_state(self, x0, y0, n_paths: int = 1) -> CouplingState:
+    def _start_points(self, x0, y0, n_paths: int):
         x = _ensemble(x0, n_paths)
         y = _ensemble(y0, n_paths)
         self.space.check_point(x)
         self.space.check_point(y)
+        return x, y
+
+    def initial_state(self, x0, y0, n_paths: int = 1) -> CouplingState:
+        x, y = self._start_points(x0, y0, n_paths)
         self.validate_start(x, y)
         regime = np.zeros(n_paths, dtype=np.int8)
         return CouplingState(t=0.0, x=x, y=y, regime=regime, cache=self.init_cache(x, y))
@@ -122,9 +123,20 @@ class CouplingStrategy:
         return geodesic_walk_step(self.space, x, g[..., : self.space.dim], h, frame)
 
 
-def _require_sphere2(space: ModelSpace, strategy_id: str) -> None:
-    if space.curvature != 1 or space.dim != 2:
-        raise DomainError(f"strategy {strategy_id!r} is defined on the 2-sphere only")
+class Sphere2Strategy(CouplingStrategy):
+    """A strategy on the 2-sphere in the extrinsic picture: its draws are
+    ambient 3-vectors, and a lone particle moves by ``stroock_step``."""
+
+    primary_dim = 3
+    indep_dim = 3
+
+    def __init__(self, space: ModelSpace):
+        if space.curvature != 1 or space.dim != 2:
+            raise DomainError(f"strategy {self.strategy_id!r} is defined on the 2-sphere only")
+        super().__init__(space)
+
+    def independent_move(self, x, g, h) -> np.ndarray:
+        return stroock_step(x, g, h)
 
 
 # -- Euclidean translation ------------------------------------------------------
@@ -145,10 +157,6 @@ class TranslationCoupling(CouplingStrategy):
             raise DomainError("the translation coupling lives on Euclidean space")
         super().__init__(space)
 
-    @property
-    def primary_dim(self) -> int:
-        return self.space.dim
-
     def init_cache(self, x, y) -> dict:
         return {"offset": x - y}
 
@@ -166,10 +174,6 @@ class IndependentCoupling(CouplingStrategy):
     strategy_id = "independent"
 
     @property
-    def primary_dim(self) -> int:
-        return self.space.dim
-
-    @property
     def aux_dim(self) -> int:
         return self.space.dim
 
@@ -182,7 +186,7 @@ class IndependentCoupling(CouplingStrategy):
 # -- mirror coupling on the 2-sphere ---------------------------------------------
 
 
-class MirrorS2(CouplingStrategy):
+class MirrorS2(Sphere2Strategy):
     """Reflect the driving noise across the perpendicular bisector plane.
 
     Meeting happens when the first particle hits the mirror plane (in the
@@ -196,23 +200,8 @@ class MirrorS2(CouplingStrategy):
     strategy_id = "mirror-s2"
     patchable = False
 
-    def __init__(self, space: ModelSpace):
-        _require_sphere2(space, self.strategy_id)
-        super().__init__(space)
-
-    @property
-    def primary_dim(self) -> int:
-        return 3
-
-    @property
-    def indep_dim(self) -> int:
-        return 3
-
     def init_cache(self, x, y) -> dict:
         return {"glued": np.zeros(x.shape[0], dtype=bool)}
-
-    def independent_move(self, x, g, h) -> np.ndarray:
-        return stroock_step(x, g, h)
 
     def move(self, x, y, gp, ga, h, cache):
         glued = cache["glued"]
@@ -272,26 +261,11 @@ def _rodrigues_apply(x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(c <= -1.0 + 1e-12, -v, out)
 
 
-class ExtrinsicContractS2(CouplingStrategy):
+class ExtrinsicContractS2(Sphere2Strategy):
     """Feed the second particle the rotated increment of the first; the chordal
     distance then contracts like exp(-t/2) deterministically."""
 
     strategy_id = "extrinsic-contract-s2"
-
-    def __init__(self, space: ModelSpace):
-        _require_sphere2(space, self.strategy_id)
-        super().__init__(space)
-
-    @property
-    def primary_dim(self) -> int:
-        return 3
-
-    @property
-    def indep_dim(self) -> int:
-        return 3
-
-    def independent_move(self, x, g, h) -> np.ndarray:
-        return stroock_step(x, g, h)
 
     def move(self, x, y, gp, ga, h, cache):
         x_new = stroock_step(x, gp, h)
@@ -300,28 +274,13 @@ class ExtrinsicContractS2(CouplingStrategy):
         return x_new, y_new, cache
 
 
-class ExtrinsicExpandS2(CouplingStrategy):
+class ExtrinsicExpandS2(Sphere2Strategy):
     """Mirror image of the contracting construction: subtract the increment
     rotated by the map aligning x with the antipode of y; the chordal distance
     then grows to the diameter."""
 
     strategy_id = "extrinsic-expand-s2"
     expanding = True
-
-    def __init__(self, space: ModelSpace):
-        _require_sphere2(space, self.strategy_id)
-        super().__init__(space)
-
-    @property
-    def primary_dim(self) -> int:
-        return 3
-
-    @property
-    def indep_dim(self) -> int:
-        return 3
-
-    def independent_move(self, x, g, h) -> np.ndarray:
-        return stroock_step(x, g, h)
 
     def move(self, x, y, gp, ga, h, cache):
         x_new = stroock_step(x, gp, h)
@@ -378,34 +337,14 @@ def _fixed_distance_noise(x: np.ndarray, y: np.ndarray, gp: np.ndarray, ga: np.n
     return kendall_compose(c, s, gp, ga) + lam[:, None] * x
 
 
-class FixedDistanceS2(CouplingStrategy):
+class FixedDistanceS2(Sphere2Strategy):
     """Drive the second particle with J dB + K dC so the distance freezes."""
 
     strategy_id = "fixed-s2"
-
-    def __init__(self, space: ModelSpace):
-        _require_sphere2(space, self.strategy_id)
-        super().__init__(space)
-
-    @property
-    def primary_dim(self) -> int:
-        return 3
-
-    @property
-    def aux_dim(self) -> int:
-        return 3
-
-    @property
-    def indep_dim(self) -> int:
-        return 3
-
-    def independent_move(self, x, g, h) -> np.ndarray:
-        return stroock_step(x, g, h)
+    aux_dim = 3
 
     def validate_start(self, x, y) -> None:
-        c = rowsum(x * y)
-        if np.any(np.abs(c) >= 1.0 - 1e-10):
-            raise DegenerateInputError("start points must satisfy x != +/-y")
+        _aligned_direction(x, y)
 
     def move(self, x, y, gp, ga, h, cache):
         w = _fixed_distance_noise(x, y, gp, ga)
@@ -447,20 +386,12 @@ def _batched_reorthonormalize(z: np.ndarray) -> np.ndarray:
     return out
 
 
-class So3FlowCoupling(CouplingStrategy):
+class So3FlowCoupling(Sphere2Strategy):
     """Move both particles with one shared rotation-group random walk; the
     distance is exactly invariant because every step is an isometry."""
 
     strategy_id = "so3-flow"
     patchable = False
-
-    def __init__(self, space: ModelSpace):
-        _require_sphere2(space, self.strategy_id)
-        super().__init__(space)
-
-    @property
-    def primary_dim(self) -> int:
-        return 3
 
     def init_cache(self, x, y) -> dict:
         n = x.shape[0]
@@ -630,7 +561,6 @@ class RotationCoupling(CouplingStrategy):
             raise DomainError("exactly one of k and alpha_override must be given")
         self.k = k
         self.alpha_override = alpha_override
-        self.drive_dim = space.dim if space.dim % 2 == 1 else space.dim + 1
 
     @property
     def expanding(self) -> bool:  # type: ignore[override]
@@ -642,16 +572,10 @@ class RotationCoupling(CouplingStrategy):
 
     @property
     def primary_dim(self) -> int:
-        return self.drive_dim
+        return self.space.dim if self.space.dim % 2 == 1 else self.space.dim + 1
 
     def validate_start(self, x, y) -> None:
-        rho = self.space.distance(x, y)
-        if np.any(rho < MEET_TOL):
-            raise DegenerateInputError("rotation coupling needs distinct start points")
-        if self.space.curvature == 1 and np.any(rho >= np.pi - 1e-9):
-            raise CutLocusError("start points must not be antipodal")
-        if self.k is not None:
-            self._alpha(rho)
+        self._alpha(self._distance(x, y))
 
     def validate_run(self, x0, y0, times) -> None:
         # a rate fixes the law rho0 exp(-k t / 2); its angle must exist along it
@@ -673,6 +597,15 @@ class RotationCoupling(CouplingStrategy):
             )
         return np.arccos(np.clip(cos_alpha, -1.0, 1.0))
 
+    def _distance(self, x, y) -> np.ndarray:
+        """Distances of the pairs, which must neither meet nor be antipodal."""
+        rho = self.space.distance(x, y)
+        if np.any(rho < MEET_TOL):
+            raise DegenerateInputError("rotation coupling undefined at coincident points")
+        if self.space.curvature == 1 and np.any(rho > np.pi - ANTIPODE_TOL):
+            raise CutLocusError("rotation coupling undefined at (numerically) antipodal points")
+        return rho
+
     def noise_tangents(self, x, y, gp) -> np.ndarray:
         """Tangent noise pair induced by the driving draws, stacked as one
         (2, n, ambient) array: xi at x, then eta at y.
@@ -680,11 +613,7 @@ class RotationCoupling(CouplingStrategy):
         The adapted frame at x is transported to y; the perpendicular
         components of the noise rotate by alpha(rho) on the way.
         """
-        rho = self.space.distance(x, y)
-        if np.any(rho < MEET_TOL):
-            raise DegenerateInputError("rotation coupling undefined at coincident points")
-        if self.space.curvature == 1 and np.any(rho > np.pi - ANTIPODE_TOL):
-            raise CutLocusError("rotation coupling undefined at (numerically) antipodal points")
+        rho = self._distance(x, y)
         return _transport_rotate_noise(self.space, x, y, rho, gp, self._alpha(rho))
 
     def move(self, x, y, gp, ga, h, cache):
@@ -697,22 +626,15 @@ class RotationCoupling(CouplingStrategy):
 # -- broken coupling (negative control) ---------------------------------------------
 
 
-class BrokenMarginalS2(CouplingStrategy):
+class BrokenMarginalS2(Sphere2Strategy):
     """Deliberately wrong coupling: the second particle reuses the first's noise
     through a non-orthogonal matrix, so its coordinate process is not a
-    Brownian motion.  Exists only as a negative control for the marginal test."""
+    Brownian motion.  Exists only as a negative control for the marginal test,
+    so it is never patched."""
 
     strategy_id = "broken-marginal"
-
-    def __init__(self, space: ModelSpace):
-        _require_sphere2(space, self.strategy_id)
-        super().__init__(space)
-        self._skew = np.eye(3)
-        self._skew[0, 1] = 1.5
-
-    @property
-    def primary_dim(self) -> int:
-        return 3
+    patchable = False
+    _skew = np.array([[1.0, 1.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
     def move(self, x, y, gp, ga, h, cache):
         return stroock_step(x, gp, h), stroock_step(y, gp @ self._skew.T, h), cache
@@ -770,10 +692,7 @@ class PatchedCoupling(CouplingStrategy):
         return zone
 
     def initial_state(self, x0, y0, n_paths: int = 1) -> CouplingState:
-        x = _ensemble(x0, n_paths)
-        y = _ensemble(y0, n_paths)
-        self.space.check_point(x)
-        self.space.check_point(y)
+        x, y = self._start_points(x0, y0, n_paths)
         rho = self.space.distance(x, y)
         regime = np.where(self._independent_zone(rho), INDEPENDENT, COUPLED).astype(np.int8)
         if np.any(regime == COUPLED):

@@ -25,8 +25,9 @@ class TrajectoryRecord:
     """Sampled output of a simulation run.
 
     ``rho`` and ``chord`` have shape (n_samples, n_paths); ``regime`` flags use
-    0 for coupled and 1 for independent motion.  ``snapshots`` maps requested
-    times to the full (X, Y) ensembles for marginal statistics.
+    0 for coupled and 1 for independent motion.  ``snapshots`` maps the step
+    time ``idx * h`` nearest each requested time (not the requested time
+    itself) to the full (X, Y) ensembles for marginal statistics.
     """
 
     times: np.ndarray
@@ -185,10 +186,11 @@ def run_paths(
 
     Samples are recorded every ``record_stride`` steps (always including t=0
     and the final time); ``snapshot_times`` asks for full point ensembles at
-    the nearest step times.  ``stop`` maps an (n, ambient) point array to one
-    value per row, negative outside the domain: a path stops at the first
-    step after which X or Y is outside, at the sub-step crossing, and keeps
-    that pair in every later sample.
+    the nearest step times, which key ``snapshots``; a time whose nearest
+    step is past the last one is rejected.  ``stop`` maps an (n, ambient)
+    point array to one value per row, negative outside the domain: a path
+    stops at the first step after which X or Y is outside, at the sub-step
+    crossing, and keeps that pair in every later sample.
     """
     if h <= 0.0 or t_final <= 0.0:
         raise DomainError("step size and horizon must be positive")
@@ -196,11 +198,11 @@ def run_paths(
         raise DomainError("need at least one path")
     if record_stride < 1 or threads < 1:
         raise DomainError("record_stride and threads must be at least 1")
-    if any(t < 0.0 for t in snapshot_times):
-        raise DomainError("snapshot times must not be negative")
     n_steps = max(1, int(round(t_final / h)))
+    if any(t < 0.0 or round(t / h) > n_steps for t in snapshot_times):
+        raise DomainError("snapshot times must lie between 0 and the horizon")
     record_idx = sorted(set(range(0, n_steps + 1, record_stride)) | {n_steps})
-    snapshot_idx = {min(n_steps, int(round(t / h))) for t in snapshot_times}
+    snapshot_idx = {int(round(t / h)) for t in snapshot_times}
     strategy.validate_run(x0, y0, np.arange(n_steps + 1) * h)
 
     ranges = _chunk_ranges(n_paths, threads)

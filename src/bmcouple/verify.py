@@ -245,7 +245,6 @@ class CheckConfig:
     n_paths: int = 200
     seed: int = 20240
     threads: int = 1
-    record_stride: int = 1
 
 
 def convergence_order_fit(pairs) -> float:
@@ -286,7 +285,6 @@ def distance_law_check(
             t_final=config.t_final,
             n_paths=config.n_paths,
             seed=config.seed,
-            record_stride=config.record_stride,
             threads=config.threads,
         )
         observed = record.rho if law.observable == "geodesic" else record.chord
@@ -539,7 +537,6 @@ def max_principle_demo(
     n_harmonic: int,
     *,
     h: float = 5e-4,
-    identity_h: float | None = None,
     n_paths: int = 10_000,
     t_max: float = 10.0,
     seed: int = 777,
@@ -574,11 +571,9 @@ def max_principle_demo(
 
     # (i) martingale identity; run at a finer step, since the discrete
     # boundary monitoring bias is what limits the z-score here
-    if identity_h is None:
-        identity_h = h / 2.0
     x0 = _cap_point(0.45 * cap_angle)
     y0 = _cap_point(0.45 * cap_angle + separation)
-    diffs = stopped_differences(x0, y0, identity_h, seed)
+    diffs = stopped_differences(x0, y0, h / 2.0, seed)
     se = float(np.std(diffs, ddof=1) / np.sqrt(n_paths))
     target = float(u(x0) - u(y0))
     z = (float(np.mean(diffs)) - target) / max(se, 1e-300)

@@ -596,15 +596,58 @@ class TestPatched:
             make_strategy("fixed-s2", S2, eps=1.0)
 
     def test_unpatchable_strategy_rejected(self):
-        with pytest.raises(DomainError):
-            make_strategy("mirror-s2", S2, eps=0.3)
+        # broken-marginal is a negative control, with no cut locus to patch around
+        for strategy_id in ("mirror-s2", "so3-flow", "broken-marginal"):
+            with pytest.raises(DomainError):
+                make_strategy(strategy_id, S2, eps=0.3)
 
     def test_flat_space_patching_rejected(self):
         with pytest.raises(DomainError):
             PatchedCoupling(make_strategy("rotation", FLAT2, k=0.0), 0.3)
 
 
+# (strategy id, space, make_strategy keywords, (primary_dim, aux_dim,
+# indep_dim, patchable)): the widths of the draws each run consumes.
+# indep_dim, the width of a lone particle's draw, is read only when patched,
+# so the unpatchable rows hold None.
+DECLARATIONS = [
+    ("translation", FLAT2, {}, (2, 0, None, False)),
+    ("mirror-s2", S2, {}, (3, 0, None, False)),
+    ("extrinsic-contract-s2", S2, {}, (3, 0, 3, True)),
+    ("extrinsic-contract-s2", S2, {"eps": 0.3}, (3, 3, 3, True)),
+    ("extrinsic-expand-s2", S2, {}, (3, 0, 3, True)),
+    ("extrinsic-expand-s2", S2, {"eps": 0.3}, (3, 3, 3, True)),
+    ("fixed-s2", S2, {}, (3, 3, 3, True)),
+    ("fixed-s2", S2, {"eps": 0.3}, (3, 3, 3, True)),
+    ("rotation", S2, {"k": 0.5}, (3, 0, 2, True)),
+    ("rotation", S2, {"k": 0.5, "eps": 0.3}, (3, 2, 2, True)),
+    ("rotation", ModelSpace.sphere(3), {"k": 1.0}, (3, 0, 3, True)),
+    ("rotation", ModelSpace.sphere(4), {"k": 1.0}, (5, 0, 4, True)),
+    ("rotation", ModelSpace.hyperbolic(2), {"alpha_override": np.pi}, (3, 0, 2, True)),
+    ("so3-flow", S2, {}, (3, 0, None, False)),
+    ("independent", S2, {}, (2, 2, 2, True)),
+    ("independent", S2, {"eps": 0.3}, (2, 2, 2, True)),
+    ("independent", ModelSpace.hyperbolic(3), {}, (3, 3, 3, True)),
+    ("broken-marginal", S2, {}, (3, 0, None, False)),
+]
+
+
 class TestRegistry:
+    def test_every_strategy_is_declared(self):
+        assert set(STRATEGIES) == {row[0] for row in DECLARATIONS}
+
+    @pytest.mark.parametrize(
+        "strategy_id, space, kwargs, expected",
+        DECLARATIONS,
+        ids=[f"{sid}-{space.curvature:+d}d{space.dim}{'-patched' * ('eps' in kw)}" for sid, space, kw, _ in DECLARATIONS],
+    )
+    def test_declared_widths(self, strategy_id, space, kwargs, expected):
+        strategy = make_strategy(strategy_id, space, **kwargs)
+        primary, aux, indep, patchable = expected
+        assert (strategy.primary_dim, strategy.aux_dim, strategy.patchable) == (primary, aux, patchable)
+        if indep is not None:
+            assert strategy.indep_dim == indep
+
     def test_unknown_strategy(self):
         with pytest.raises(DomainError):
             make_strategy("quantum-leap", S2)

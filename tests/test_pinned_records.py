@@ -34,6 +34,10 @@ CASES = {
     "rotation-hyperbolic3": ("hyperbolic:3", "rotation", {"alpha_override": math.pi}, 1.0),
     "rotation-flat3": ("flat:3", "rotation", {"alpha_override": 0.5 * math.pi}, 1.0),
     "rotation-patched": ("sphere:2", "rotation", {"alpha_override": math.pi, "eps": 0.3}, math.pi - 0.4),
+    # these start in the independent regime, so they pin the lone-particle move
+    "fixed-s2-patched": ("sphere:2", "fixed-s2", {"eps": 0.3}, math.pi - 0.2),
+    "extrinsic-contract-s2-patched": ("sphere:2", "extrinsic-contract-s2", {"eps": 0.3}, math.pi - 0.2),
+    "extrinsic-expand-s2-patched": ("sphere:2", "extrinsic-expand-s2", {"eps": 0.3}, 0.05),
     "so3-flow": ("sphere:2", "so3-flow", {}, 1.0),
     "independent": ("sphere:2", "independent", {}, 1.0),
     "independent-hyperbolic2": ("hyperbolic:2", "independent", {}, 1.0),

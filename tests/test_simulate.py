@@ -246,6 +246,7 @@ def test_start_outside_the_stop_domain_is_rejected():
         {"snapshot_times": (0.1, -1e-9)},
         {"threads": 0},
         {"threads": -2},
+        {"snapshot_times": (0.1, 5.0)},
     ],
 )
 def test_bad_sampling_arguments_are_rejected(kwargs):
