@@ -28,7 +28,7 @@ from .errors import (
 )
 from .simulate import run_paths
 from .spaces import ModelSpace, parse_space
-from .verify import LAW_TOL, REPORT_KEYS, build_law, drift_identity_check, report_json
+from .verify import LAW_TOL, REPORT_KEYS, build_law, drift_identity_check, law_sup_error, report_json
 
 SEED_ENV_VAR = "BMCOUPLE_SEED"
 
@@ -148,9 +148,7 @@ def cmd_simulate(config: SimConfig) -> int:
         strategy=config.strategy, law=config.law, n_paths=config.paths, h_ladder=[config.h], sup_err=[], z_scores=[]
     )
     if law is not None:
-        observed = record.rho if law.observable == "geodesic" else record.chord
-        target = law.evaluate(record.times)
-        summary["sup_err"] = [float(np.max(np.abs(np.mean(observed, axis=1) - target)))]
+        summary["sup_err"] = [law_sup_error(law, record)]
         summary["pass"] = summary["sup_err"][0] < LAW_TOL
     out_dir = config.out or "."
     os.makedirs(out_dir, exist_ok=True)

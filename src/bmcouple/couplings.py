@@ -119,8 +119,7 @@ class CouplingStrategy:
 
     def independent_move(self, x, g, h) -> np.ndarray:
         """Advance one particle alone (used by the patching regime machine)."""
-        frame = self.space.reference_frame(x)
-        return geodesic_walk_step(self.space, x, g[..., : self.space.dim], h, frame)
+        return geodesic_walk_step(self.space, x, g[..., : self.space.dim], h)
 
 
 class Sphere2Strategy(CouplingStrategy):
@@ -470,20 +469,13 @@ def _transport_rotate_noise(space: ModelSpace, x, y, rho, gp, alpha) -> np.ndarr
         kappa = 2 sum_{j>=1} coef_j v_j / |w|^2
 
     (kappa = 0 where |w|^2 <= 1e-24: u is b_0 already and H is the identity).
-    b is the identity on flat space.  On the curved spaces it is the frame
-    transported from the pole e_p, p = 0 except on the sphere near that
-    pole's antipode (1 + x_0 < 0.1), where p = 1.  b_0 sits on ambient axis
-    q = 1 - p, each b_j (j >= 1) on axis j + 1, and with V the coefficients
-    placed on those axes
-
-        sum_j v'_j b_j = V + sigma (V.x) / (1 + x_p) (e_p + x),
-
-    sigma = -1 on the sphere and +1 on the hyperboloid.  Parallel transport
-    to y fixes the perpendicular part and takes u to
-    u + sigma sin(rho) / (1 + cos(rho)) (x + y) (hyperbolic sin and cos on
-    the hyperboloid; u itself on flat space), so eta is the image of the
-    rotated noise plus g_0 times that change.  Both images are formed in one
-    stacked pass.
+    b is the reference frame of ``ModelSpace.frame_apply``, which forms
+    sum_j v'_j b_j; the pole data of x it applies also give coef, so they are
+    computed once.  Parallel transport to y fixes the perpendicular part and
+    takes u to u + sigma sin(rho) / (1 + cos(rho)) (x + y), sigma = -1 on the
+    sphere and +1 on the hyperboloid (with hyperbolic sin and cos; u itself
+    on flat space), so eta is the image of the rotated noise plus g_0 times
+    that change.  Both images are formed in one stacked pass.
     """
     d, curv = space.dim, space.curvature
     n = x.shape[0]
@@ -494,18 +486,7 @@ def _transport_rotate_noise(space: ModelSpace, x, y, rho, gp, alpha) -> np.ndarr
         dot = _rowdot if curv == 1 else _minkowski_rowdot
         raw = y + (-curv * dot(x, y))[:, None] * x
         u = raw / np.maximum(np.sqrt(np.maximum(dot(raw, raw), 0.0)), 1e-300)[:, None]
-        # per-row pole as weights: pf = 1 where p = 1, qf = 1 where q = 1
-        pf = (1.0 + x[:, 0] < 0.1).astype(float) if curv == 1 else np.zeros(n)
-        qf = 1.0 - pf
-        pole_x = x.copy()  # e_p + x
-        pole_x[:, 0] += qf
-        pole_x[:, 1] += pf
-        one_xp = pole_x[:, 0] * qf + pole_x[:, 1] * pf
-        if curv == 1:
-            # reference_frame's clamp; with the pole chosen per row,
-            # 1 + x_p >= 0.1 already on points of the sphere
-            one_xp = np.maximum(one_xp, 1e-3)
-        sig_c = -curv / one_xp
+        pole = pf, qf, pole_x, sig_c = space._frame_pole(x)
         along = sig_c * dot(pole_x, u)
         coef = np.empty((n, d))
         coef[:, 0] = pf * u[:, 0] + qf * u[:, 1] + along * (pf * x[:, 0] + qf * x[:, 1])
@@ -520,11 +501,7 @@ def _transport_rotate_noise(space: ModelSpace, x, y, rho, gp, alpha) -> np.ndarr
     if curv == 0:
         out = np.concatenate(((kappa * w0)[..., None], tail), axis=-1)
     else:
-        out = np.empty((2, n, d + 1))
-        out[..., 0] = kappa * (w0 * pf)
-        out[..., 1] = kappa * (w0 * qf)
-        out[..., 2:] = tail
-        out += (sig_c * np.einsum("kna,na->kn", out, x))[..., None] * pole_x
+        out = space._pole_frame_apply(pole, x, kappa * w0, tail)
     out += v[..., :1] * u
     if curv != 0:
         half = np.tan(0.5 * rho) if curv == 1 else np.tanh(0.5 * rho)

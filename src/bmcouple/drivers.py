@@ -3,7 +3,8 @@
 The generator is counter-based (Philox keyed by (seed, stream id)), so every
 path owns an independent stream and parallel runs reproduce bitwise no matter
 how work is scheduled.  The integrators are weak order-1 Euler-type steps that
-renormalize back onto the model constraint after every move.
+renormalize back onto the model constraint after every move; the geodesic
+random walk applies the reference frame in closed form and builds no frame.
 """
 
 from __future__ import annotations
@@ -54,17 +55,14 @@ def stroock_step(x, noise, h: float) -> np.ndarray:
     return out / np.sqrt(rowsum(out * out))[..., None]
 
 
-def geodesic_walk_step(space: ModelSpace, x, noise, h: float, frame) -> np.ndarray:
-    """Geodesic random-walk step: exponential of sqrt(h) * sum_i noise_i frame_i.
-
-    ``frame`` holds an orthonormal tangent basis at x with shape
-    (..., d, ambient); ``noise`` has shape (..., d).
-    """
+def geodesic_walk_step(space: ModelSpace, x, noise, h: float) -> np.ndarray:
+    """Geodesic random-walk step: exponential of sqrt(h) * sum_i noise_i b_i
+    over the reference frame b at x (``ModelSpace.frame_apply``); ``noise``
+    has shape (..., d)."""
     if h <= 0.0:
         raise DomainError(f"step size must be positive, got {h}")
     x = np.asarray(x, float)
-    noise = np.asarray(noise, float)
-    tangent = np.sqrt(h) * np.einsum("...j,...ja->...a", noise, np.asarray(frame, float))
+    tangent = np.sqrt(h) * space.frame_apply(x, noise)
     check_step_length(space, tangent)
     return space.exp_tangent(x, tangent)
 

@@ -235,42 +235,59 @@ class ModelSpace:
         v /= max(s, 1e-300)
         return self._exp_unit(self.base_point(), v, np.asarray(s))
 
-    def reference_frame(self, x) -> np.ndarray:
-        """Deterministic orthonormal tangent frame at x, shape (..., d, ambient).
+    def _frame_pole(self, x):
+        """Pole data of the reference frame at the points x of a curved space:
+        the pole weights (pf = 1 where the pole is e_1, qf = 1 - pf), e_p + x
+        and -curvature / (1 + x_p)."""
+        pf = (1.0 + x[..., 0] < 0.1).astype(float) if self.curvature == 1 else np.zeros(x.shape[:-1])
+        qf = 1.0 - pf
+        pole_x = x.copy()
+        pole_x[..., 0] += qf
+        pole_x[..., 1] += pf
+        one_xp = pole_x[..., 0] * qf + pole_x[..., 1] * pf
+        if self.curvature == 1:
+            # with the pole chosen per row, 1 + x_p >= 0.1 already on points
+            # of the sphere; the clamp keeps points off it finite
+            one_xp = np.maximum(one_xp, 1e-3)
+        return pf, qf, pole_x, -self.curvature / one_xp
 
-        Built by transporting the coordinate frame at the pole; on the sphere a
-        second pole takes over near the antipode of the first.
+    def _pole_frame_apply(self, pole, x, first, rest) -> np.ndarray:
+        """sum_j v_j b_j at x from the pole data of x and the coefficients
+        v = (first, *rest), on a curved space (see ``frame_apply``)."""
+        pf, qf, pole_x, sig_c = pole
+        on_q = first * qf
+        out = np.empty(on_q.shape + x.shape[-1:])
+        out[..., 0] = first * pf
+        out[..., 1] = on_q
+        out[..., 2:] = rest
+        out += (sig_c * np.einsum("...a,...a->...", out, x))[..., None] * pole_x
+        return out
+
+    def frame_apply(self, x, v) -> np.ndarray:
+        """sum_j v_j b_j(x) over the reference frame b at x, shape (..., ambient),
+        in closed form: b is never built.  x and v broadcast over their
+        leading axes; v holds d coefficients.
+
+        b is the identity on flat space.  On the curved spaces it is the frame
+        transported from the pole e_p, p = 0 except on the sphere near that
+        pole's antipode (1 + x_0 < 0.1), where p = 1.  b_0 sits on ambient
+        axis 1 - p and each b_j (j >= 1) on axis j + 1; with V the
+        coefficients placed on those axes,
+
+            sum_j v_j b_j = V + sigma (V.x) / (1 + x_p) (e_p + x),
+
+        sigma = -1 on the sphere and +1 on the hyperboloid.
         """
         x = np.asarray(x, float)
-        batch = x.shape[:-1]
+        v = np.asarray(v, float)
         if self.curvature == 0:
-            eye = np.eye(self.dim)
-            return np.broadcast_to(eye, batch + (self.dim, self.dim)).copy()
-        frame = self._transported_frame(x, pole_axis=0)
-        if self.curvature == 1:
-            near = 1.0 + x[..., 0] < 0.1
-            if np.any(near):
-                alt = self._transported_frame(x, pole_axis=1)
-                frame = np.where(near[..., None, None], alt, frame)
-        return frame
+            return np.broadcast_to(v, np.broadcast_shapes(x.shape, v.shape)).copy()
+        return self._pole_frame_apply(self._frame_pole(x), x, v[..., 0], v[..., 1:])
 
-    def _transported_frame(self, x, pole_axis: int) -> np.ndarray:
-        amb = self.ambient_dim
-        pole = np.zeros(amb)
-        pole[pole_axis] = 1.0
-        axes = [j for j in range(amb) if j != pole_axis]
-        w = np.zeros((self.dim, amb))
-        for row, j in enumerate(axes):
-            w[row, j] = 1.0
-        x_exp = x[..., None, :]
-        if self.curvature == 1:
-            # the clamp only matters where the alternate pole takes over
-            c = np.maximum(1.0 + x[..., pole_axis], 1e-3)[..., None]
-            coef = rowsum(x_exp * w) / c
-            return w - coef[..., None] * (pole + x_exp)
-        ch = x[..., 0][..., None]
-        coef = self.metric_dot(x_exp, w) / (1.0 + ch)
-        return w + coef[..., None] * (pole + x_exp)
+    def reference_frame(self, x) -> np.ndarray:
+        """Deterministic orthonormal tangent frame at x, shape (..., d, ambient):
+        the frame ``frame_apply`` applies."""
+        return self.frame_apply(np.asarray(x, float)[..., None, :], np.eye(self.dim))
 
     def frame_with_first(self, x, u) -> np.ndarray:
         """Orthonormal tangent frame at x whose first vector is the unit tangent u.
@@ -281,8 +298,7 @@ class ModelSpace:
         """
         x = np.asarray(x, float)
         u = np.asarray(u, float)
-        base = self.reference_frame(x)
-        coef = self.metric_dot(base, u[..., None, :])  # (..., d)
+        coef = self.metric_dot(self.reference_frame(x), u[..., None, :])  # (..., d)
         d = self.dim
         e1 = np.zeros(d)
         e1[0] = 1.0
@@ -293,9 +309,9 @@ class ModelSpace:
             wsq, 1e-300
         )[..., None, None]
         house = np.where(wsq[..., None, None] > 1e-24, house, eye)
-        # frame_j = sum_m house[m, j] * base_m ; row 0 reproduces u exactly up to fp
-        frame = np.einsum("...mj,...ma->...ja", house, base)
-        frame[..., 0, :] = u
+        # the Householder matrix is symmetric: frame_j = sum_m house[j, m] b_m
+        frame = self.frame_apply(x[..., None, :], house)
+        frame[..., 0, :] = u  # row 0 reproduces u exactly up to fp
         return frame
 
 

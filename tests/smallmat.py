@@ -1,11 +1,12 @@
 """Matrix constructions of the couplings, kept as test oracles.
 
 The library runs only closed-form noise maps in ``bmcouple.couplings``, which
-form no matrix and no frame.  The 2-sphere constructions here are one-pair
-versions written independently (explicit outer products, one pair at a time);
-the rotation coupling's oracle builds the adapted frame and its parallel
-transport literally, with the frame routines of ``bmcouple.spaces``.  The
-tests compare the two.
+form no matrix and no frame, and applies its reference frame in closed form
+(``ModelSpace.frame_apply``).  The 2-sphere constructions here are one-pair
+versions written independently (explicit outer products, one pair at a time).
+The reference frame is built here as a matrix, by transporting the coordinate
+frame at the pole, and the rotation coupling's oracle builds the adapted frame
+and its parallel transport literally from it.  The tests compare the two.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from bmcouple.drivers import StepNoise
 from bmcouple.errors import DegenerateInputError, DomainError
+from bmcouple.spaces import rowsum
 
 UNIT_TOL = 1e-12
 PARALLEL_TOL = 1e-10
@@ -100,6 +102,79 @@ def rotate_pairs_transposed(g, alpha) -> np.ndarray:
     return out
 
 
+def reference_frame(space, x) -> np.ndarray:
+    """Deterministic orthonormal tangent frame at x, shape (..., d, ambient).
+
+    Built by transporting the coordinate frame at the pole; on the sphere a
+    second pole takes over near the antipode of the first.
+    """
+    x = np.asarray(x, float)
+    batch = x.shape[:-1]
+    if space.curvature == 0:
+        eye = np.eye(space.dim)
+        return np.broadcast_to(eye, batch + (space.dim, space.dim)).copy()
+    frame = _transported_frame(space, x, pole_axis=0)
+    if space.curvature == 1:
+        near = 1.0 + x[..., 0] < 0.1
+        if np.any(near):
+            alt = _transported_frame(space, x, pole_axis=1)
+            frame = np.where(near[..., None, None], alt, frame)
+    return frame
+
+
+def _transported_frame(space, x, pole_axis: int) -> np.ndarray:
+    amb = space.ambient_dim
+    pole = np.zeros(amb)
+    pole[pole_axis] = 1.0
+    axes = [j for j in range(amb) if j != pole_axis]
+    w = np.zeros((space.dim, amb))
+    for row, j in enumerate(axes):
+        w[row, j] = 1.0
+    x_exp = x[..., None, :]
+    if space.curvature == 1:
+        # the clamp only matters where the alternate pole takes over
+        c = np.maximum(1.0 + x[..., pole_axis], 1e-3)[..., None]
+        coef = rowsum(x_exp * w) / c
+        return w - coef[..., None] * (pole + x_exp)
+    ch = x[..., 0][..., None]
+    coef = space.metric_dot(x_exp, w) / (1.0 + ch)
+    return w + coef[..., None] * (pole + x_exp)
+
+
+def frame_with_first(space, x, u) -> np.ndarray:
+    """Orthonormal tangent frame at x whose first vector is the unit tangent u.
+
+    The remaining vectors come from rotating the reference frame by the
+    Householder map aligning its coefficient of u with the first slot, so
+    the result is deterministic and batch-friendly.
+    """
+    x = np.asarray(x, float)
+    u = np.asarray(u, float)
+    base = reference_frame(space, x)
+    coef = space.metric_dot(base, u[..., None, :])  # (..., d)
+    d = space.dim
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    wvec = e1 - coef
+    wsq = rowsum(wvec * wvec)
+    eye = np.broadcast_to(np.eye(d), coef.shape[:-1] + (d, d))
+    house = eye - 2.0 * wvec[..., :, None] * wvec[..., None, :] / np.maximum(
+        wsq, 1e-300
+    )[..., None, None]
+    house = np.where(wsq[..., None, None] > 1e-24, house, eye)
+    # frame_j = sum_m house[m, j] * base_m ; row 0 reproduces u exactly up to fp
+    frame = np.einsum("...mj,...ma->...ja", house, base)
+    frame[..., 0, :] = u
+    return frame
+
+
+def geodesic_walk(space, x, noise, h: float) -> np.ndarray:
+    """The geodesic random-walk step on the matrix frame: the exponential of
+    sqrt(h) * sum_i noise_i frame_i."""
+    frame = reference_frame(space, x)
+    return space.exp_tangent(x, np.sqrt(h) * np.einsum("...j,...ja->...a", noise, frame))
+
+
 def rotation_noise_tangents(space, x, y, gp, alpha):
     """Tangent noise pair (xi at x, eta at y) of the rotation coupling, built on
     frames: the frame at x whose first vector points along the geodesic to y
@@ -108,7 +183,7 @@ def rotation_noise_tangents(space, x, y, gp, alpha):
     d = space.dim
     rho = space.distance(x, y)
     gdir = space.log_map(x, y) / rho[:, None]
-    frame_x = space.frame_with_first(x, gdir)
+    frame_x = frame_with_first(space, x, gdir)
     frame_y = space.parallel_transport(x[:, None, :], y[:, None, :], frame_x)
     rotated = rotate_pairs_transposed(gp, alpha)
     xi = np.einsum("nj,nja->na", gp[:, :d], frame_x)

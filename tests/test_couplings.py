@@ -6,6 +6,7 @@ from bmcouple.couplings import (
     COUPLED,
     INDEPENDENT,
     STRATEGIES,
+    IndependentCoupling,
     PatchedCoupling,
     RotationCoupling,
     _cross,
@@ -416,7 +417,7 @@ class TestRotationCoupling:
                 xis.append(xi[0])
                 etas.append(eta[0])
             rho = space.distance(x, y)
-            basis_x = space.frame_with_first(x, space.log_map(x, y) / rho[:, None])[0]
+            basis_x = sm.frame_with_first(space, x, space.log_map(x, y) / rho[:, None])[0]
             basis_y = space.parallel_transport(x[0], y[0], basis_x)
             for base, basis, images in ((x[0], basis_x, xis), (y[0], basis_y, etas)):
                 coeff = np.stack(
@@ -464,7 +465,7 @@ def _geodesic_points(space, x, rng, lo, hi):
     directions."""
     dirs = rng.standard_normal((len(x), space.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    tangents = np.einsum("nj,nja->na", dirs, space.reference_frame(x))
+    tangents = np.einsum("nj,nja->na", dirs, sm.reference_frame(space, x))
     return space.exp_map(x, tangents, rng.uniform(lo, hi, len(x)))
 
 
@@ -472,7 +473,7 @@ def _householder_gap(space, x, y):
     """|e_1 - coef| for the coefficients of the unit tangent toward y in the
     reference frame: the Householder completion divides by its square."""
     rho = space.distance(x, y)
-    coef = space.metric_dot(space.reference_frame(x), (space.log_map(x, y) / rho[:, None])[:, None, :])
+    coef = space.metric_dot(sm.reference_frame(space, x), (space.log_map(x, y) / rho[:, None])[:, None, :])
     coef[:, 0] -= 1.0
     return np.linalg.norm(coef, axis=1)
 
@@ -521,7 +522,7 @@ class TestRotationNoiseMap:
         gp = np.random.default_rng(3).standard_normal((1, strategy.primary_dim))
         xi, _ = strategy.noise_tangents(x, y, gp)
         d = space.dim
-        expected = np.einsum("nj,nja->na", gp[:, :d], space.reference_frame(x))
+        expected = np.einsum("nj,nja->na", gp[:, :d], sm.reference_frame(space, x))
         assert np.max(np.abs(xi - expected)) < 1e-15
         ref_xi, ref_eta = sm.rotation_noise_tangents(space, x, y, gp, np.zeros(1))
         assert np.max(np.abs(xi - ref_xi)) < 1e-15
@@ -549,6 +550,31 @@ class TestRotationNoiseMap:
         flat = ModelSpace.euclidean(3)
         with pytest.raises(DegenerateInputError):
             run(RotationCoupling(flat, alpha_override=np.pi), np.zeros((1, 3)), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("curvature", [-1, 0, 1])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_frame_apply_and_independent_move_match_the_matrix_frame(curvature, dim):
+    """``frame_apply`` and the lone-particle walk against the matrix reference
+    frame of tests/smallmat.py and the walk built on it."""
+    space = ModelSpace(curvature, dim)
+    rng = np.random.default_rng(200 + 10 * curvature + dim)
+    n = 1000
+    pole = np.broadcast_to(space.base_point(), (n, space.ambient_dim))
+    x = _geodesic_points(space, pole, rng, 0.0, 3.0 if curvature == 1 else 1.5)
+    if curvature == 1:
+        # a quarter of the rows near the pole's antipode use the second pole
+        x[: n // 4] = _geodesic_points(space, -pole[: n // 4], rng, 0.0, 0.45)
+        assert np.count_nonzero(1.0 + x[:, 0] < 0.1) >= n // 5
+    v = rng.standard_normal((2, n, dim))
+    got = space.frame_apply(x, v)
+    ref = np.einsum("knj,nja->kna", v, sm.reference_frame(space, x))
+    assert got.shape == ref.shape
+    assert np.max(np.linalg.norm(got - ref, axis=-1) / np.linalg.norm(ref, axis=-1)) <= 1e-13
+    g = rng.standard_normal((n, dim))
+    moved = IndependentCoupling(space).independent_move(x, g, 1e-3)
+    walked = sm.geodesic_walk(space, x, g, 1e-3)
+    assert np.max(np.linalg.norm(moved - walked, axis=-1) / np.linalg.norm(walked, axis=-1)) <= 1e-13
 
 
 class TestDriftFormula:

@@ -1,5 +1,5 @@
-"""Last-axis reductions in the stepping path: ``rowsum`` and a guard against
-numpy's strided reductions coming back into the kernels."""
+"""Guards on the stepping path: ``rowsum`` and no strided last-axis
+reductions in the kernels, and no frame built on it."""
 
 import ast
 import pathlib
@@ -52,3 +52,25 @@ def test_stepping_path_has_no_strided_last_axis_reductions():
 def test_guard_sees_each_spelling():
     code = "np.sum(a, axis=-1); np.add.reduce(a, -1, keepdims=True); np.linalg.norm(a, axis=-1); np.sum(a)"
     assert len(_last_axis_reductions(ast.parse(code))) == 3
+
+
+FRAME_METHODS = {"reference_frame", "frame_with_first", "log_map", "parallel_transport"}
+
+
+def _frame_calls(tree) -> list:
+    return [
+        f"line {node.lineno}: {ast.unparse(node.func)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in FRAME_METHODS
+    ]
+
+
+def test_stepping_path_builds_no_frame():
+    """The moves apply the reference frame in closed form
+    (``ModelSpace.frame_apply``); the matrix frames, log map and transport are
+    left to the tests."""
+    names = ("couplings.py", "drivers.py", "simulate.py")
+    found = {name: _frame_calls(ast.parse((SRC / name).read_text())) for name in names}
+    assert found == {name: [] for name in found}
