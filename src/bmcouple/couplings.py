@@ -305,7 +305,7 @@ def _aligned_direction(x: np.ndarray, y: np.ndarray):
     for nearly parallel pairs.
     """
     c = _rowdot(x, y)
-    if np.any(np.abs(c) >= 1.0 - 1e-10):
+    if (np.abs(c) >= 1.0 - 1e-10).any():
         raise DegenerateInputError("fixed-distance driver undefined at (anti)parallel points")
     e = y - c[:, None] * x
     e -= _rowdot(e, x)[:, None] * x
@@ -495,7 +495,7 @@ def _transport_rotate_noise(space: ModelSpace, x, y, rho, gp, alpha) -> np.ndarr
     w2 = w0 * w0 + _rowdot(coef[:, 1:], coef[:, 1:])
     two_w2 = np.where(w2 > 1e-24, 2.0 / np.maximum(w2, 1e-300), 0.0)
 
-    v = np.stack((gp[:, :d], _rotate_pairs_transposed(gp, alpha)[:, :d]))
+    v = np.concatenate((gp[None, :, :d], _rotate_pairs_transposed(gp, alpha)[None, :, :d]))
     kappa = np.einsum("knj,nj->kn", v[..., 1:], coef[:, 1:]) * two_w2
     tail = v[..., 1:] - kappa[..., None] * coef[:, 1:]
     if curv == 0:
@@ -565,21 +565,21 @@ class RotationCoupling(CouplingStrategy):
         if self.alpha_override is not None:
             return np.full_like(np.asarray(rho, float), float(self.alpha_override))
         cos_alpha = rotation_angle_cos(self.space, self.k, rho)
-        if np.any(np.abs(cos_alpha) > 1.0 + 1e-12):
+        if (np.abs(cos_alpha) > 1.0 + 1e-12).any():
             worst = float(np.max(np.abs(cos_alpha)))
             raise InfeasibleRateError(
                 f"rate k={self.k} infeasible at distance "
                 f"{float(np.asarray(rho).flat[int(np.argmax(np.abs(cos_alpha)))]):.6g}"
                 f" (|cos alpha| = {worst:.6g} > 1)"
             )
-        return np.arccos(np.clip(cos_alpha, -1.0, 1.0))
+        return np.arccos(np.minimum(np.maximum(cos_alpha, -1.0), 1.0))
 
     def _distance(self, x, y) -> np.ndarray:
         """Distances of the pairs, which must neither meet nor be antipodal."""
         rho = self.space.distance(x, y)
-        if np.any(rho < MEET_TOL):
+        if (rho < MEET_TOL).any():
             raise DegenerateInputError("rotation coupling undefined at coincident points")
-        if self.space.curvature == 1 and np.any(rho > np.pi - ANTIPODE_TOL):
+        if self.space.curvature == 1 and (rho > np.pi - ANTIPODE_TOL).any():
             raise CutLocusError("rotation coupling undefined at (numerically) antipodal points")
         return rho
 
@@ -596,7 +596,7 @@ class RotationCoupling(CouplingStrategy):
     def move(self, x, y, gp, ga, h, cache):
         tangents = np.sqrt(h) * self.noise_tangents(x, y, gp)
         check_step_length(self.space, tangents)
-        moved = self.space.exp_tangent(np.stack((x, y)), tangents)
+        moved = self.space.exp_tangent(np.concatenate((x[None], y[None])), tangents)
         return moved[0], moved[1], cache
 
 
@@ -685,7 +685,7 @@ class PatchedCoupling(CouplingStrategy):
         y_new = state.y.copy()
         coupled = state.regime == COUPLED
         cache = state.cache
-        if np.any(coupled):
+        if coupled.any():
             sub_ga = None if ga is None else ga[coupled]
             xc, yc, cache = self.inner.move(
                 state.x[coupled], state.y[coupled], gp[coupled], sub_ga, h, cache
@@ -693,7 +693,7 @@ class PatchedCoupling(CouplingStrategy):
             x_new[coupled] = xc
             y_new[coupled] = yc
         free = ~coupled
-        if np.any(free):
+        if free.any():
             nd = self.inner.indep_dim
             x_new[free] = self.inner.independent_move(state.x[free], gp[free, :nd], h)
             y_new[free] = self.inner.independent_move(state.y[free], ga[free, :nd], h)

@@ -26,8 +26,11 @@ class NoiseStream:
         key = np.array([self.seed % 2**64, self.stream_id % 2**64], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def standard_normal(self, shape) -> np.ndarray:
-        return self._gen.standard_normal(shape)
+    def standard_normal(self, shape=None, out=None) -> np.ndarray:
+        """Next standard normals of the stream, as a new array of ``shape`` or
+        filled in place into the C-contiguous float array ``out`` (which is
+        returned); both draw the same values in the same order."""
+        return self._gen.standard_normal(shape, out=out)
 
 
 @dataclass
@@ -72,7 +75,7 @@ def check_step_length(space: ModelSpace, tangent) -> None:
     every geodesic step, the walk's and the rotation coupling's, obeys it."""
     if space.curvature == 1:
         lengths = space.metric_norm(tangent)
-        if np.any(lengths >= np.pi / 2.0):
+        if (lengths >= np.pi / 2.0).any():
             raise StepTooLargeError(
                 f"step length {np.max(lengths):.4f} >= pi/2; decrease the step size"
             )

@@ -44,13 +44,22 @@ class TrajectoryRecord:
         return self.rho.shape[1]
 
     def to_csv(self, handle) -> None:
-        """Write the long-format CSV to the open text file ``handle``, one
-        chunk per path; repr of Python floats round-trips the IEEE values."""
+        """Write the long-format CSV to the open text file ``handle``.
+
+        One parts list is reused for every path: the ``"t,"`` prefixes, built
+        once, the repr of each rho (repr of Python floats round-trips the
+        IEEE values) and a ``",regime,path_id"`` line end looked up from the
+        row's regime fill it, and each path's chunk is written with one join.
+        """
         handle.write("t,rho,regime,path_id\n")
         times = [f"{t!r}," for t in self.times.tolist()]
+        parts = [""] * (3 * len(times))
+        parts[0::3] = times
         for j in range(self.n_paths):
-            rows = zip(times, self.rho[:, j].tolist(), self.regime[:, j].tolist())
-            handle.write("".join([t + repr(r) + f",{g},{j}\n" for t, r, g in rows]))
+            ends = {0: f",0,{j}\n", 1: f",1,{j}\n"}
+            parts[1::3] = map(repr, self.rho[:, j].tolist())
+            parts[2::3] = map(ends.__getitem__, self.regime[:, j].tolist())
+            handle.write("".join(parts))
 
 
 def _chunk_ranges(n_paths: int, n_chunks: int):
@@ -87,7 +96,7 @@ def _stop_at_crossing(space, stop, old: CouplingState, new: CouplingState) -> np
     fx_old, fy_old = stop(old.x), stop(old.y)
     fx_new, fy_new = stop(new.x), stop(new.y)
     crossed = (fx_new < 0.0) | (fy_new < 0.0)
-    if np.any(crossed):
+    if crossed.any():
         hit = np.flatnonzero(crossed)
         theta = np.minimum(
             _crossing_fraction(fx_old[hit], fx_new[hit]),
@@ -101,7 +110,7 @@ def _stop_at_crossing(space, stop, old: CouplingState, new: CouplingState) -> np
 def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapshot_idx, stop=None):
     n = len(path_ids)
     state = strategy.initial_state(x0, y0, n)
-    if stop is not None and (np.any(stop(state.x) < 0.0) or np.any(stop(state.y) < 0.0)):
+    if stop is not None and ((stop(state.x) < 0.0).any() or (stop(state.y) < 0.0).any()):
         raise DomainError("start points must lie inside the stop domain")
     p_dim = strategy.primary_dim
     a_dim = strategy.aux_dim
@@ -129,14 +138,16 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
 
     record(0, state)
     step = 0
-    max_window = max(1, min(NOISE_WINDOW, NOISE_BUDGET // max(1, n * total)))
+    max_window = max(1, min(NOISE_WINDOW, NOISE_BUDGET // max(1, n * total), n_steps))
+    buffer = np.empty((n, max_window, total))
     while step < n_steps and n_running:
-        # noise only for the paths still running at the window start
+        # noise only for the paths still running at the window start, filled
+        # in place into the front of the chunk's one buffer
         window = min(max_window, n_steps - step)
         live = np.flatnonzero(running)
-        block = np.empty((live.size, window, total))
+        block = buffer[: live.size, :window]
         for row, pid in enumerate(live):
-            block[row] = streams[pid].standard_normal((window, total))
+            streams[pid].standard_normal(out=block[row])
         for i in range(window):
             # step only the running rows; skip the gather while all run
             if n_running == n:
@@ -157,7 +168,7 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
                 _put(state, rows, new)
             step += 1
             record(step, state)
-            if ended is not None and np.any(ended):
+            if ended is not None and ended.any():
                 running[rows[ended]] = False
                 n_running -= int(np.count_nonzero(ended))
                 if not n_running:

@@ -128,7 +128,7 @@ class ModelSpace:
             return np.sqrt(rowsum(diff * diff))
         if self.curvature == 1:
             half = 0.5 * np.sqrt(rowsum(diff * diff))
-            return 2.0 * np.arcsin(np.clip(half, 0.0, 1.0))
+            return 2.0 * np.arcsin(np.minimum(half, 1.0))  # half >= 0: a square root
         half = 0.5 * self.metric_norm(diff)
         return 2.0 * np.arcsinh(half)
 

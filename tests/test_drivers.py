@@ -26,6 +26,16 @@ class TestNoiseStream:
         b = NoiseStream(123, 8).standard_normal(100)
         assert not np.array_equal(a, b)
 
+    def test_filling_in_place_draws_the_same_values(self):
+        fresh = NoiseStream(123, 7)
+        want = [fresh.standard_normal((7, 6)), fresh.standard_normal((3, 6))]
+        stream, buffer = NoiseStream(123, 7), np.full((2, 7, 6), np.nan)
+        first = buffer[1, :7]
+        assert stream.standard_normal(out=first) is first
+        stream.standard_normal(out=buffer[0, :3])
+        assert np.array_equal(buffer[1], want[0]) and np.array_equal(buffer[0, :3], want[1])
+        assert np.isnan(buffer[0, 3:]).all()
+
     def test_step_noise_shapes(self):
         noise = step_noise(NoiseStream(5), 3, 2, n=10)
         assert noise.primary.shape == (10, 3)

@@ -1,5 +1,6 @@
 """Guards on the stepping path: ``rowsum`` and no strided last-axis
-reductions in the kernels, and no frame built on it."""
+reductions in the kernels, no ``clip`` or ``stack`` calls, and no frame built
+on it."""
 
 import ast
 import pathlib
@@ -37,21 +38,50 @@ def _last_axis_reductions(tree) -> list:
     return found
 
 
-def test_stepping_path_has_no_strided_last_axis_reductions():
-    """The stepping path sums short last axes with ``rowsum``; the module-level
-    quadrature in spaces.py keeps numpy's pairwise sums and is out of scope."""
-    found = {}
-    for name in ("couplings.py", "drivers.py", "simulate.py"):
-        found[name] = _last_axis_reductions(ast.parse((SRC / name).read_text()))
+def _stepping_path_trees() -> dict:
+    """The stepping modules and the ``ModelSpace`` class; the module-level
+    quadrature and ODE code in spaces.py is out of scope."""
+    trees = {name: ast.parse((SRC / name).read_text()) for name in ("couplings.py", "drivers.py", "simulate.py")}
     spaces = ast.parse((SRC / "spaces.py").read_text())
     (model,) = [node for node in spaces.body if isinstance(node, ast.ClassDef) and node.name == "ModelSpace"]
-    found["spaces.ModelSpace"] = _last_axis_reductions(model)
+    trees["spaces.ModelSpace"] = model
+    return trees
+
+
+def test_stepping_path_has_no_strided_last_axis_reductions():
+    """The stepping path sums short last axes with ``rowsum``; the module-level
+    quadrature in spaces.py keeps numpy's pairwise sums."""
+    found = {name: _last_axis_reductions(tree) for name, tree in _stepping_path_trees().items()}
     assert found == {name: [] for name in found}
 
 
 def test_guard_sees_each_spelling():
     code = "np.sum(a, axis=-1); np.add.reduce(a, -1, keepdims=True); np.linalg.norm(a, axis=-1); np.sum(a)"
     assert len(_last_axis_reductions(ast.parse(code))) == 3
+
+
+SLOW_CALLS = {"clip", "stack"}
+
+
+def _slow_calls(tree) -> list:
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in SLOW_CALLS
+    ]
+
+
+def test_stepping_path_has_no_clip_or_stack():
+    """Per call at 200 rows, ``np.minimum`` (with ``np.maximum``) and a
+    concatenation of ``[None]`` views give the same bits as ``np.clip`` and
+    ``np.stack`` in a third to a half of the time."""
+    found = {name: _slow_calls(tree) for name, tree in _stepping_path_trees().items()}
+    assert found == {name: [] for name in found}
+
+
+def test_clip_and_stack_guard_sees_each_spelling():
+    code = "np.clip(a, 0.0, 1.0); a.clip(-1.0, 1.0); np.stack((a, b)); numpy.stack([a, b], axis=1); np.minimum(a, 1.0)"
+    assert len(_slow_calls(ast.parse(code))) == 4
 
 
 FRAME_METHODS = {"reference_frame", "frame_with_first", "log_map", "parallel_transport"}

@@ -3,7 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from bmcouple.couplings import make_strategy
+from bmcouple import simulate
+from bmcouple.couplings import STRATEGIES, make_strategy
+from bmcouple.drivers import StepNoise
 from bmcouple.errors import DomainError
 from bmcouple.simulate import run_paths
 from bmcouple.spaces import ModelSpace
@@ -103,6 +105,42 @@ def test_csv_matches_row_formatter_with_exponent_times(tmp_path):
     assert _csv_file_bytes(record, tmp_path / "t.csv") == text.encode()
 
 
+def _one_path_record():
+    return run_paths(make_strategy("fixed-s2", S2), S2.base_point(), S2.point_at_distance(1.0),
+                     h=1e-2, t_final=0.3, n_paths=1, seed=3)
+
+
+def _stopped_record():
+    record = _cap_run("independent", 12, record_stride=1, t_final=0.2, snapshot_times=())
+    # a stopped path repeats its stop pair, and so its distance, in every later sample
+    assert 0 < np.count_nonzero(record.rho[-1] == record.rho[-2]) < 12
+    return record
+
+
+def _ragged_stride_record():
+    # 50 steps sampled every 7: the last step is appended after step 49
+    record = run_paths(make_strategy("fixed-s2", S2), S2.base_point(), S2.point_at_distance(1.0),
+                       h=1e-2, t_final=0.5, n_paths=4, seed=6, record_stride=7)
+    assert np.array_equal(np.round(record.times[-3:] / 1e-2), [42.0, 49.0, 50.0])
+    return record
+
+
+def _two_digit_ids_record():
+    # patched fixed-s2 started inside the cut-locus zone: regime 1 on paths >= 10
+    record = run_paths(make_strategy("fixed-s2", S2, eps=0.3), S2.base_point(), S2.point_at_distance(np.pi - 0.25),
+                       h=1e-2, t_final=0.3, n_paths=14, seed=7)
+    assert np.any(record.regime[:, 10:] == 1) and np.any(record.regime[:, 10:] == 0)
+    return record
+
+
+@pytest.mark.parametrize(
+    "build", [_one_path_record, _stopped_record, _ragged_stride_record, _two_digit_ids_record]
+)
+def test_csv_corner_cases_match_row_formatter(build, tmp_path):
+    record = build()
+    assert _csv_file_bytes(record, tmp_path / "t.csv") == _csv_oracle(record).encode()
+
+
 def test_long_noise_window_chunking():
     # runs longer than the pre-generated window must stay deterministic
     strategy = make_strategy("translation", ModelSpace.euclidean(2))
@@ -200,6 +238,54 @@ def test_rotation_runs_keep_the_seed_contract(space, params, rho_x, rho_y):
     assert np.array_equal(alone.rho, one.rho[:, :64]) and np.array_equal(alone.chord, one.chord[:, :64])
     for t, (ax, ay) in alone.snapshots.items():
         assert np.array_equal(ax, one.snapshots[t][0][:64]) and np.array_equal(ay, one.snapshots[t][1][:64])
+
+
+@pytest.mark.parametrize(
+    "strategy, start, t_final, stop",
+    [
+        # paths leave the cap in many short windows, so the live set shrinks
+        # and the rows the buffer refills move up
+        (make_strategy("independent", S2), (np.sin(0.2), np.sin(0.4)), 0.3, _cap_stop),
+        (make_strategy("rotation", S2, k=-1.0, eps=0.2), (0.0, np.sin(0.04)), 0.6, None),
+    ],
+    ids=["stopped-independent", "patched-rotation"],
+)
+def test_noise_window_size_changes_nothing(monkeypatch, strategy, start, t_final, stop):
+    # 150 and 300 steps end in a partial window at both window sizes
+    x0, y0 = (np.array([s, 0.0, np.sqrt(1.0 - s * s)]) for s in start)
+
+    def run():
+        return run_paths(strategy, x0, y0, h=2e-3, t_final=t_final, n_paths=40, seed=12, record_stride=3,
+                         snapshot_times=(0.15, t_final), stop=stop)
+
+    default = run()
+    monkeypatch.setattr(simulate, "NOISE_WINDOW", 7)
+    assert _same_record(default, run())
+    if stop is None:
+        assert np.any(default.regime == 1) and np.any(default.regime == 0)
+    else:
+        assert 0 < np.count_nonzero(default.rho[-1] == default.rho[-2]) < 40
+
+
+@pytest.mark.parametrize("strategy_id", [*STRATEGIES, "patched"])
+def test_steps_keep_no_view_of_the_noise(strategy_id):
+    # the stepping loop refills one noise buffer in place, so nothing a step
+    # returns may alias it
+    space = ModelSpace.euclidean(2) if strategy_id == "translation" else S2
+    if strategy_id == "patched":
+        strategy = make_strategy("rotation", S2, k=-1.0, eps=0.2)
+        rho0 = 0.3
+    else:
+        strategy = make_strategy(strategy_id, space, **({"k": 0.0} if strategy_id == "rotation" else {}))
+        rho0 = 1.0
+    p_dim, a_dim = strategy.primary_dim, strategy.aux_dim
+    state = strategy.initial_state(space.base_point(), space.point_at_distance(rho0), 6)
+    buffer = np.random.default_rng(1).standard_normal((6, 3, p_dim + a_dim))
+    for i in range(3):
+        noise = StepNoise(primary=buffer[:, i, :p_dim], auxiliary=buffer[:, i, p_dim:] if a_dim else None)
+        state = strategy.step(state, noise, 1e-3)
+        arrays = [state.x, state.y, state.regime, *state.cache.values()]
+        assert not any(np.shares_memory(a, buffer) for a in arrays)
 
 
 def _crossing(track, k):
