@@ -17,7 +17,7 @@ closed form to the noise (``_transport_rotate_noise``) and never builds them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -103,7 +103,10 @@ class CouplingStrategy:
 
     def validate_run(self, x0, y0, times) -> None:
         """Reject, before any noise is drawn, a run the strategy cannot
-        sustain up to the last of its step times."""
+        sustain up to the last of its step times.  None can start from a pair
+        at no finite distance: NaN coordinates pass ``check_point``."""
+        if not np.isfinite(self.space.distance(x0, y0)).all():
+            raise DomainError("start points must lie at a finite distance")
 
     def init_cache(self, x, y) -> dict:
         return {}
@@ -429,12 +432,28 @@ def feasible_rate_interval(space: ModelSpace, rho: float) -> tuple[float, float]
     return (-(1.0 + gc) * scale, (1.0 - gc) * scale)
 
 
+def _drift(curvature: int, dim: int, cos_alpha, rho):
+    """(d-1)(gc(rho) - cos_alpha) / gs(rho), with the ufuncs applied to rho
+    itself: a float stays a numpy scalar, an array broadcasts with cos_alpha."""
+    if curvature == 1:
+        gs, gc = np.sin(rho), np.cos(rho)
+    elif curvature == 0:
+        gs, gc = rho, 1.0
+    else:
+        gs, gc = np.sinh(rho), np.cosh(rho)
+    return (dim - 1) * (gc - cos_alpha) / gs
+
+
 def distance_drift(space: ModelSpace, alpha, rho) -> np.ndarray:
     """Deterministic distance drift (d-1)(gc(rho) - cos(alpha)) / gs(rho)."""
-    rho = np.asarray(rho, float)
-    gs = gen_sin(space.curvature, rho)
-    gc = gen_cos(space.curvature, rho)
-    return (space.dim - 1) * (gc - np.cos(alpha)) / gs
+    return _drift(space.curvature, space.dim, np.cos(alpha), np.asarray(rho, float))
+
+
+def scalar_distance_drift(space: ModelSpace, alpha) -> Callable[[float], float]:
+    """rho -> float(distance_drift(space, alpha, rho)) on a float rho, with
+    cos(alpha) taken once: the right-hand side an ODE oracle steps."""
+    curvature, dim, cos_alpha = space.curvature, space.dim, float(np.cos(alpha))
+    return lambda rho: float(_drift(curvature, dim, cos_alpha, rho))
 
 
 def _rotate_pairs_transposed(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -555,6 +574,7 @@ class RotationCoupling(CouplingStrategy):
         self._alpha(self._distance(x, y))
 
     def validate_run(self, x0, y0, times) -> None:
+        super().validate_run(x0, y0, times)
         # a rate fixes the law rho0 exp(-k t / 2); its angle must exist along it
         if self.k is not None:
             decay = np.exp(-0.5 * self.k * np.asarray(times, float))

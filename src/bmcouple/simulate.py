@@ -18,16 +18,19 @@ from .errors import DomainError
 
 NOISE_WINDOW = 256  # max steps of noise pre-generated per path chunk
 NOISE_BUDGET = 25_000_000  # max pre-generated doubles per chunk (~200 MB)
+RECORD_BUDGET = 1 << 14  # max buffered doubles of recorded y - x per chunk (128 KB)
 
 
 @dataclass
 class TrajectoryRecord:
     """Sampled output of a simulation run.
 
-    ``rho`` and ``chord`` have shape (n_samples, n_paths); ``regime`` flags use
-    0 for coupled and 1 for independent motion.  ``snapshots`` maps the step
-    time ``idx * h`` nearest each requested time (not the requested time
-    itself) to the full (X, Y) ensembles for marginal statistics.
+    ``rho`` and ``chord`` have shape (n_samples, n_paths); rho is derived
+    from the chord |y - x| (``ModelSpace.chord_distance``) once per flush of
+    the recorder.  ``regime`` flags use 0 for coupled and 1 for independent
+    motion.  ``snapshots`` maps the step time ``idx * h`` nearest each
+    requested time (not the requested time itself) to the full (X, Y)
+    ensembles for marginal statistics.
     """
 
     times: np.ndarray
@@ -119,20 +122,32 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
     running = np.ones(n, dtype=bool)
     n_running = n
 
+    space = strategy.space
     n_rec = len(record_idx)
     rho = np.empty((n_rec, n))
     chord = np.empty((n_rec, n))
     regime = np.empty((n_rec, n), dtype=np.int8)
     snapshots = {}
-    rec_pos = 0
+    width = state.x.shape[-1]
+    diffs = np.empty((max(1, min(RECORD_BUDGET // (n * width), n_rec)), n, width))
+    rec_pos = flushed = 0
+
+    def flush():
+        nonlocal flushed
+        if rec_pos > flushed:
+            part = slice(flushed, rec_pos)
+            chord[part] = space.metric_norm(diffs[: rec_pos - flushed])
+            rho[part] = space.chord_distance(chord[part])
+            flushed = rec_pos
 
     def record(step_index, st):
         nonlocal rec_pos
         if rec_pos < n_rec and record_idx[rec_pos] == step_index:
-            rho[rec_pos] = strategy.space.distance(st.x, st.y)
-            chord[rec_pos] = strategy.space.metric_norm(st.y - st.x)
+            np.subtract(st.y, st.x, out=diffs[rec_pos - flushed])
             regime[rec_pos] = st.regime
             rec_pos += 1
+            if rec_pos - flushed == len(diffs):
+                flush()
         if step_index in snapshot_idx:
             snapshots[step_index] = (st.x.copy(), st.y.copy())
 
@@ -161,7 +176,7 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
                 auxiliary=block[sel, i, p_dim:] if a_dim else None,
             )
             new = strategy.step(sub, noise, h)
-            ended = None if stop is None else _stop_at_crossing(strategy.space, stop, sub, new)
+            ended = None if stop is None else _stop_at_crossing(space, stop, sub, new)
             if sub is state:
                 state = new
             else:
@@ -173,9 +188,11 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
                 n_running -= int(np.count_nonzero(ended))
                 if not n_running:
                     break
+        flush()
     # once every path has stopped, later samples repeat the stop points
     for index in range(step + 1, n_steps + 1):
         record(index, state)
+    flush()
     return rho, chord, regime, snapshots
 
 
@@ -201,7 +218,10 @@ def run_paths(
     step is past the last one is rejected.  ``stop`` maps an (n, ambient)
     point array to one value per row, negative outside the domain: a path
     stops at the first step after which X or Y is outside, at the sub-step
-    crossing, and keeps that pair in every later sample.
+    crossing, and keeps that pair in every later sample.  Recorded steps
+    keep y - x in a buffer of at most ``RECORD_BUDGET`` doubles, flushed when
+    full and at the end of each noise window: one call measures its chords,
+    and rho is derived from them.  The records do not depend on the budget.
     """
     if h <= 0.0 or t_final <= 0.0:
         raise DomainError("step size and horizon must be positive")

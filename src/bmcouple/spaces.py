@@ -121,15 +121,20 @@ class ModelSpace:
     # -- geodesic operations -----------------------------------------------
 
     def distance(self, p, q) -> np.ndarray:
-        p = np.asarray(p, float)
-        q = np.asarray(q, float)
-        diff = q - p
+        diff = np.asarray(q, float) - np.asarray(p, float)
+        chord = self.metric_norm(diff) if self.curvature == -1 else np.sqrt(rowsum(diff * diff))
+        return self.chord_distance(chord)
+
+    def chord_distance(self, chord) -> np.ndarray:
+        """Geodesic distance between points whose chord ``metric_norm(q - p)``
+        is ``chord``: 2 arcsin(c/2) on the sphere, c on flat space and
+        2 arcsinh(c/2) on the hyperboloid.  ``distance`` measures the chord
+        with the same square root, so the two agree bitwise."""
         if self.curvature == 0:
-            return np.sqrt(rowsum(diff * diff))
+            return chord
+        half = 0.5 * chord
         if self.curvature == 1:
-            half = 0.5 * np.sqrt(rowsum(diff * diff))
             return 2.0 * np.arcsin(np.minimum(half, 1.0))  # half >= 0: a square root
-        half = 0.5 * self.metric_norm(diff)
         return 2.0 * np.arcsinh(half)
 
     def exp_map(self, x, v, s) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .couplings import CouplingStrategy, distance_drift, make_strategy
+from .couplings import CouplingStrategy, distance_drift, make_strategy, scalar_distance_drift
 from .errors import DomainError
 from .simulate import run_paths
 from .spaces import (
@@ -95,9 +95,7 @@ def law_synchronous(space: ModelSpace, rho0: float) -> DistanceLaw:
 
         law_id = "hyperbolic-synchronous"
 
-    def rhs(rho):
-        return float(distance_drift(space, 0.0, rho))
-
+    rhs = scalar_distance_drift(space, 0.0)
     return DistanceLaw(law_id, "geodesic", rho0, evaluate, rhs, {"rho0": rho0, "dim": d})
 
 
@@ -124,9 +122,7 @@ def law_perverse(space: ModelSpace, rho0: float) -> DistanceLaw:
 
         law_id = "hyperbolic-perverse"
 
-    def rhs(rho):
-        return float(distance_drift(space, np.pi, rho))
-
+    rhs = scalar_distance_drift(space, np.pi)
     return DistanceLaw(law_id, "geodesic", rho0, evaluate, rhs, {"rho0": rho0, "dim": d})
 
 

@@ -250,6 +250,13 @@ class TestSimulate:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("start", [["--rho0", "nan"], ["--x0", "nan,0,0", "--y0", "0,1,0"]], ids=["rho0", "x0"])
+    def test_start_at_no_finite_distance_is_config_error_and_writes_nothing(self, tmp_path, start):
+        code = main(["simulate", "--space", "sphere:2", "--strategy", "fixed-s2", *start, "--h", "1e-2",
+                     "--T", "0.05", "--paths", "2", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
     def test_one_sided_explicit_point_rejected(self, tmp_path):
         code = main(
             [

@@ -203,6 +203,18 @@ class TestWeakOrder:
         errs = [abs(walk_linear_factor(h, 2) ** int(t_final / h) - np.exp(-1.0)) for h in ladder]
         assert convergence_order_fit(list(zip(ladder, errs))) >= 1.0
 
+    @pytest.mark.parametrize("h", [1e-3, 1e-2, 0.1])
+    def test_walk_factor_matches_closed_forms_at_odd_dimension(self, h):
+        # E cos(sqrt(h) |G|) for G standard normal in R^3 and R^5
+        assert abs(walk_linear_factor(h, 3) - (1.0 - h) * np.exp(-h / 2.0)) < 1e-12
+        quintic = (1.0 - 2.0 * h + h * h / 3.0) * np.exp(-h / 2.0)
+        assert abs(walk_linear_factor(h, 5) - quintic) < 1e-12
+
+    def test_walk_factor_keeps_its_even_dimension_values(self):
+        # Gauss-Laguerre at even d: the values the d = 2 order test reads
+        got = [walk_linear_factor(h, 2).hex() for h in (1e-3, 1e-2, 0.1)]
+        assert got == ["0x1.ff7cf8c0259d8p-1", "0x1.fae5a3ed63453p-1", "0x1.ce79178c9c395p-1"]
+
     def test_factors_match_monte_carlo(self):
         h, n = 4e-3, 200_000
         rng = np.random.default_rng(10)

@@ -104,3 +104,23 @@ def test_stepping_path_builds_no_frame():
     names = ("couplings.py", "drivers.py", "simulate.py")
     found = {name: _frame_calls(ast.parse((SRC / name).read_text())) for name in names}
     assert found == {name: [] for name in found}
+
+
+def _distance_calls(tree) -> list:
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "distance"
+    ]
+
+
+def test_recording_measures_no_geodesic_distance():
+    """``_run_chunk`` records y - x, measures the chords once a flush and
+    derives rho from them (``ModelSpace.chord_distance``): no per-step
+    distance comes back into the recorder."""
+    assert _distance_calls(ast.parse((SRC / "simulate.py").read_text())) == []
+
+
+def test_distance_guard_sees_each_spelling():
+    code = "strategy.space.distance(st.x, st.y); space.distance(a, b); distance(a, b); space.chord_distance(c)"
+    assert len(_distance_calls(ast.parse(code))) == 2

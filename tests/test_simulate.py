@@ -267,6 +267,48 @@ def test_noise_window_size_changes_nothing(monkeypatch, strategy, start, t_final
         assert 0 < np.count_nonzero(default.rho[-1] == default.rho[-2]) < 40
 
 
+def _recorder_cases():
+    # with 3 records a flush, each run's last flush is partial: 101, 301, 7
+    # and 31 records, and the 300-step run's first window holds 257
+    rotation = make_strategy("rotation", S2, k=-1.0, eps=0.2)
+    x0, y0 = S2.base_point(), S2.point_at_distance(1.0)
+    return {
+        "stopped": lambda: _cap_run("independent", 12, record_stride=1, t_final=0.2, snapshot_times=(0.1,)),
+        "patched-rotation": lambda: run_paths(rotation, x0, S2.point_at_distance(0.04), h=2e-3, t_final=0.6,
+                                              n_paths=20, seed=13, snapshot_times=(0.3,)),
+        "stride-7": lambda: run_paths(make_strategy("fixed-s2", S2), x0, y0, h=1e-2, t_final=0.4, n_paths=5,
+                                      seed=14, record_stride=7, snapshot_times=(0.2, 0.4)),
+        "one-path": lambda: run_paths(make_strategy("so3-flow", S2), x0, y0, h=1e-2, t_final=0.3, n_paths=1,
+                                      seed=15, snapshot_times=(0.3,)),
+    }
+
+
+@pytest.mark.parametrize("per_flush", [1, 3])
+@pytest.mark.parametrize("case", list(_recorder_cases()))
+def test_record_budget_changes_nothing(monkeypatch, case, per_flush):
+    """Records derived from chords measured one flush at a time, with flushes
+    of 1 or 3 records that split the noise windows, equal the default's."""
+    run = _recorder_cases()[case]
+    default = run()
+    if case == "stopped":
+        assert 0 < np.count_nonzero(default.rho[-1] == default.rho[-2]) < default.n_paths
+    if case == "patched-rotation":
+        assert np.any(default.regime == 1) and np.any(default.regime == 0)
+    monkeypatch.setattr(simulate, "RECORD_BUDGET", per_flush * default.n_paths * 3)
+    sizes = []
+    derive = ModelSpace.chord_distance
+
+    def spy(space, chord):
+        if np.ndim(chord) == 2:  # a flush: (records, paths)
+            sizes.append(len(chord))
+        return derive(space, chord)
+
+    monkeypatch.setattr(ModelSpace, "chord_distance", spy)
+    assert _same_record(default, run())
+    assert sum(sizes) == len(default.times) and max(sizes) == per_flush
+    assert per_flush == 1 or sizes[-1] < per_flush
+
+
 @pytest.mark.parametrize("strategy_id", [*STRATEGIES, "patched"])
 def test_steps_keep_no_view_of_the_noise(strategy_id):
     # the stepping loop refills one noise buffer in place, so nothing a step
@@ -316,6 +358,18 @@ def test_stopped_so3_flow_path_lies_on_its_bracketing_segment():
             point = track[k - 1] + theta * (track[k] - track[k - 1])
             assert np.allclose(end, point / np.linalg.norm(point), rtol=0.0, atol=1e-14)
     assert 0 < n_stopped < n
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [make_strategy("fixed-s2", S2), make_strategy("rotation", S2, k=0.0), make_strategy("rotation", S2, k=-1.0, eps=0.2)],
+    ids=["fixed-s2", "rotation", "patched-rotation"],
+)
+def test_start_at_no_finite_distance_is_rejected(strategy):
+    # NaN coordinates pass the point check; the run must not write NaN records
+    with pytest.raises(DomainError, match="finite distance"):
+        run_paths(strategy, np.array([np.nan, 0.0, 0.0]), S2.point_at_distance(1.0), h=1e-2, t_final=0.05,
+                  n_paths=2, seed=1)
 
 
 def test_start_outside_the_stop_domain_is_rejected():

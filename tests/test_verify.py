@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bmcouple.couplings import make_strategy
+from bmcouple.couplings import distance_drift, make_strategy
 from bmcouple.errors import DomainError
 from bmcouple.spaces import ModelSpace
 from bmcouple.verify import (
@@ -70,6 +70,14 @@ class TestLaws:
             k4 = law.rhs(value + h * k3)
             value += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert validate_law(law, t_final, n_steps) == worst
+
+    @pytest.mark.parametrize("space", [S2, ModelSpace.euclidean(2), ModelSpace.hyperbolic(2)], ids=["S2", "flat2", "H2"])
+    @pytest.mark.parametrize("build, alpha", [(law_synchronous, 0.0), (law_perverse, np.pi)], ids=["sync", "perverse"])
+    def test_law_rhs_is_the_distance_drift(self, space, build, alpha):
+        # the oracle steps floats, and must give the drift's own values
+        rhs = build(space, 1.0).rhs
+        for r in np.linspace(0.05, 3.0, 60).tolist():
+            assert rhs(r) == float(distance_drift(space, alpha, r)), r
 
     def test_initial_values(self):
         for law in (
