@@ -17,14 +17,41 @@ from .errors import CouplingConstraintError, DomainError, StepTooLargeError
 from .spaces import ModelSpace, rowsum
 
 
+def stream_keys(seed: int, stream_ids) -> np.ndarray:
+    """Philox keys (seed mod 2^64, id mod 2^64) of the streams, shape (n, 2)."""
+    keys = np.empty((len(stream_ids), 2), dtype=np.uint64)
+    keys[:, 0] = int(seed) % 2**64
+    keys[:, 1] = [int(sid) % 2**64 for sid in stream_ids]
+    return keys
+
+
 class NoiseStream:
-    """Reproducible Gaussian stream identified by a 64-bit seed and a stream id."""
+    """Reproducible Gaussian stream identified by a 64-bit seed and a stream id.
+
+    Philox is counter-based, so one generator serves many streams: ``rekey``
+    moves it to the start of another stream and ``state`` reads or writes its
+    position (with the unused words of its last Philox block).  Either way it
+    draws what a generator built on that key draws, without the build.
+    """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        key = np.array([self.seed % 2**64, self.stream_id % 2**64], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._bitgen = np.random.Philox(key=stream_keys(seed, [stream_id])[0])
+        self._gen = np.random.Generator(self._bitgen)
+        self._start = self._bitgen.state  # a re-key swaps only its key
+
+    def rekey(self, key) -> None:
+        """Restart at the beginning of the stream with Philox key ``key``
+        (a row of ``stream_keys``)."""
+        self._start["state"]["key"] = key
+        self._bitgen.state = self._start
+
+    @property
+    def state(self) -> dict:
+        return self._bitgen.state
+
+    @state.setter
+    def state(self, value: dict) -> None:
+        self._bitgen.state = value
 
     def standard_normal(self, shape=None, out=None) -> np.ndarray:
         """Next standard normals of the stream, as a new array of ``shape`` or
@@ -66,19 +93,28 @@ def geodesic_walk_step(space: ModelSpace, x, noise, h: float) -> np.ndarray:
         raise DomainError(f"step size must be positive, got {h}")
     x = np.asarray(x, float)
     tangent = np.sqrt(h) * space.frame_apply(x, noise)
-    check_step_length(space, tangent)
-    return space.exp_tangent(x, tangent)
+    return _exp_step(space, x, tangent)
 
 
-def check_step_length(space: ModelSpace, tangent) -> None:
+def check_step_length(space: ModelSpace, tangent):
     """Raise StepTooLargeError if a tangent step on the sphere is pi/2 or longer;
-    every geodesic step, the walk's and the rotation coupling's, obeys it."""
-    if space.curvature == 1:
-        lengths = space.metric_norm(tangent)
-        if (lengths >= np.pi / 2.0).any():
-            raise StepTooLargeError(
-                f"step length {np.max(lengths):.4f} >= pi/2; decrease the step size"
-            )
+    every geodesic step, the walk's and the rotation coupling's, obeys it.
+    Returns the step lengths ``metric_norm(tangent)`` on the sphere, else None."""
+    if space.curvature != 1:
+        return None
+    lengths = space.metric_norm(tangent)
+    if (lengths >= np.pi / 2.0).any():
+        raise StepTooLargeError(f"step length {np.max(lengths):.4f} >= pi/2; decrease the step size")
+    return lengths
+
+
+def _exp_step(space: ModelSpace, x, tangent) -> np.ndarray:
+    """``space.exp_tangent(x, tangent)`` after ``check_step_length``, with each
+    tangent measured once: the lengths the check took feed the exponential."""
+    lengths = check_step_length(space, tangent)
+    if lengths is None:
+        return space.exp_tangent(x, tangent)
+    return space._exp_length(x, tangent, lengths)
 
 
 def kendall_compose(j, k, db, dc) -> np.ndarray:

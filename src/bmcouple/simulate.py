@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .couplings import CouplingState, CouplingStrategy
-from .drivers import NoiseStream, StepNoise
+from .drivers import NoiseStream, StepNoise, stream_keys
 from .errors import DomainError
 
 NOISE_WINDOW = 256  # max steps of noise pre-generated per path chunk
@@ -111,6 +111,13 @@ def _stop_at_crossing(space, stop, old: CouplingState, new: CouplingState) -> np
 
 
 def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapshot_idx, stop=None):
+    """Step the paths ``path_ids`` of one run (one worker thread's share).
+
+    The chunk builds one ``NoiseStream`` and moves it from path to path: at
+    a path's first window it is re-keyed to (seed, path id), and a path with
+    a later window keeps the stream's state until that window.  So each path
+    draws the stream it would draw alone, whatever the chunking.
+    """
     n = len(path_ids)
     state = strategy.initial_state(x0, y0, n)
     if stop is not None and ((stop(state.x) < 0.0).any() or (stop(state.y) < 0.0).any()):
@@ -118,7 +125,9 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
     p_dim = strategy.primary_dim
     a_dim = strategy.aux_dim
     total = p_dim + a_dim
-    streams = [NoiseStream(seed, pid) for pid in path_ids]
+    keys = stream_keys(seed, path_ids)
+    stream = NoiseStream(seed, path_ids[0])
+    positions = [None] * n  # each path's stream state between its windows
     running = np.ones(n, dtype=bool)
     n_running = n
 
@@ -157,12 +166,20 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
     buffer = np.empty((n, max_window, total))
     while step < n_steps and n_running:
         # noise only for the paths still running at the window start, filled
-        # in place into the front of the chunk's one buffer
+        # in place into the front of the chunk's one buffer by the chunk's
+        # one stream, moved from path to path
         window = min(max_window, n_steps - step)
+        later = step + window < n_steps
         live = np.flatnonzero(running)
         block = buffer[: live.size, :window]
         for row, pid in enumerate(live):
-            streams[pid].standard_normal(out=block[row])
+            if step == 0:
+                stream.rekey(keys[pid])
+            else:
+                stream.state = positions[pid]
+            stream.standard_normal(out=block[row])
+            if later:
+                positions[pid] = stream.state
         for i in range(window):
             # step only the running rows; skip the gather while all run
             if n_running == n:
@@ -222,6 +239,8 @@ def run_paths(
     keep y - x in a buffer of at most ``RECORD_BUDGET`` doubles, flushed when
     full and at the end of each noise window: one call measures its chords,
     and rho is derived from them.  The records do not depend on the budget.
+    Path p draws the Philox stream keyed (seed, p); each worker thread builds
+    one generator and re-keys it per path (``_run_chunk``).
     """
     if h <= 0.0 or t_final <= 0.0:
         raise DomainError("step size and horizon must be positive")

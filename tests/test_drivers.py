@@ -5,6 +5,7 @@ from bmcouple.drivers import (
     NoiseStream,
     geodesic_walk_step,
     kendall_compose,
+    stream_keys,
     stroock_linear_factor,
     stroock_step,
     walk_linear_factor,
@@ -35,6 +36,29 @@ class TestNoiseStream:
         stream.standard_normal(out=buffer[0, :3])
         assert np.array_equal(buffer[1], want[0]) and np.array_equal(buffer[0, :3], want[1])
         assert np.isnan(buffer[0, 3:]).all()
+
+    @pytest.mark.parametrize("seed, stream_id", [(-5, 3), (123, 0), (9, 2**63 + 5), (2**64 + 7, 2**64 - 1)])
+    def test_rekeyed_and_restored_streams_draw_the_fresh_stream(self, seed, stream_id):
+        """A stream moved to (seed, id), drawn in windows with another stream
+        between them, draws what a generator built on that key draws."""
+        key = np.array([seed % 2**64, stream_id % 2**64], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal(7 + 9 + 4)
+        assert np.array_equal(NoiseStream(seed, stream_id).standard_normal(20), want)
+        assert np.array_equal(stream_keys(seed, [stream_id])[0], key)
+        stream = NoiseStream(1, 1)
+        stream.standard_normal(5)
+        stream.rekey(key)
+        got = [stream.standard_normal(7)]
+        saved = stream.state
+        # the window ends inside a Philox block of four words
+        assert 0 < saved["buffer_pos"] < 4
+        stream.rekey(stream_keys(seed, [stream_id + 1])[0])
+        other = stream.standard_normal(3)
+        stream.state = saved
+        got.append(stream.standard_normal(9))
+        got.append(stream.standard_normal(out=np.empty(4)))
+        assert np.array_equal(np.concatenate(got), want)
+        assert not np.array_equal(other, want[:3])
 
     def test_step_noise_shapes(self):
         noise = step_noise(NoiseStream(5), 3, 2, n=10)

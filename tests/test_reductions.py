@@ -1,6 +1,6 @@
-"""Guards on the stepping path: ``rowsum`` and no strided last-axis
-reductions in the kernels, no ``clip`` or ``stack`` calls, and no frame built
-on it."""
+"""Guards on the stepping path: ``rowsum`` and ``rowdot`` in place of strided
+last-axis reductions and ``einsum`` row dots in the kernels, no ``clip`` or
+``stack`` calls, and no frame built on it."""
 
 import ast
 import pathlib
@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from bmcouple.spaces import rowsum
+from bmcouple.spaces import rowdot, rowsum
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bmcouple"
 
@@ -23,6 +23,37 @@ def test_rowsum_is_numpys_reduction(lead, length):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert np.array_equal(np.sqrt(rowsum(p * p)), np.linalg.norm(p, axis=-1))
+
+
+def _same_bits(got, want) -> bool:
+    return np.shape(got) == np.shape(want) and np.array_equal(np.asarray(got).view(np.uint64),
+                                                              np.asarray(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_rowdot_is_einsum(width):
+    """Bit for bit, signs of zero included, at scales e^+-30, on lead shapes,
+    a (2, n, w) . (n, w) broadcast and column views of wider arrays."""
+    rng = np.random.default_rng(width)
+
+    def draw(shape):
+        return rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+
+    # rowdot adds columns itself from 256 to 1024 rows, by width
+    leads = [(), (200,), (2, 200), (4096,), (2, 2048)]
+    cases = [(draw(lead + (width,)), draw(lead + (width,))) for lead in leads]
+    cases += [(draw((2, n, width)), draw((n, width))) for n in (200, 2048)]
+    wide = draw((4096, 2 * width + 1))
+    cases.append((wide[:, 1 : width + 1], wide[:, width + 1 :]))  # rows of unit stride
+    cases.append((wide[:, ::2][:, :width], wide[:, 1::2][:, :width]))  # strided rows
+    zeros = np.zeros((4096, width))
+    zeros[::2, 0] = 1.0  # rows of -0.0 products, and mixed +-0 rows
+    cases.append((-zeros, np.ones((4096, width))))
+    cases.append((zeros[::-1], -np.ones((4096, width))))
+    for a, b in cases:
+        for _ in range(2):
+            assert _same_bits(rowdot(a, b), np.einsum("...j,...j->...", a, b))
+            a, b = b, a
 
 
 REDUCTIONS = {"np.sum", "np.add.reduce", "np.linalg.norm"}
@@ -58,6 +89,32 @@ def test_stepping_path_has_no_strided_last_axis_reductions():
 def test_guard_sees_each_spelling():
     code = "np.sum(a, axis=-1); np.add.reduce(a, -1, keepdims=True); np.linalg.norm(a, axis=-1); np.sum(a)"
     assert len(_last_axis_reductions(ast.parse(code))) == 3
+
+
+def _einsum_calls(tree) -> list:
+    return [
+        f"line {node.lineno}: {ast.unparse(node.func)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr == "einsum")
+            or (isinstance(node.func, ast.Name) and node.func.id == "einsum")
+        )
+    ]
+
+
+def test_stepping_path_has_no_einsum():
+    """Row dots go through ``rowdot``, which adds in einsum's order without
+    einsum on big batches.  drivers.py keeps einsum for kendall_compose's
+    matrices."""
+    trees = _stepping_path_trees()
+    found = {name: _einsum_calls(trees[name]) for name in ("couplings.py", "simulate.py", "spaces.ModelSpace")}
+    assert found == {name: [] for name in found}
+
+
+def test_einsum_guard_sees_each_spelling():
+    code = "np.einsum('ij,ij->i', a, b); numpy.einsum(s, a); einsum(s, a, b); np.einsum_path(s, a); rowdot(a, b)"
+    assert len(_einsum_calls(ast.parse(code))) == 3
 
 
 SLOW_CALLS = {"clip", "stack"}

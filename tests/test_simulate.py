@@ -393,3 +393,35 @@ def test_bad_sampling_arguments_are_rejected(kwargs):
     args = dict(h=4e-3, t_final=0.2, n_paths=4, seed=1)
     with pytest.raises(DomainError):
         run_paths(make_strategy("fixed-s2", S2), S2.base_point(), S2.point_at_distance(1.0), **args, **kwargs)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_each_path_draws_its_own_stream_across_windows(monkeypatch, threads):
+    """With h = 1 the translation coupling's X is the running sum of its
+    draws, so every snapshot of path p shows the stream (seed, p), drawn on
+    through windows of 3 steps by the chunk's one re-keyed generator."""
+    monkeypatch.setattr(simulate, "NOISE_WINDOW", 3)
+    flat = ModelSpace.euclidean(2)
+    n_steps, seed = 10, -17
+    record = run_paths(make_strategy("translation", flat), flat.base_point(), flat.point_at_distance(1.0), h=1.0,
+                       t_final=n_steps, n_paths=7, seed=seed, snapshot_times=range(n_steps + 1), threads=threads)
+    for p in range(7):
+        key = np.array([seed % 2**64, p], dtype=np.uint64)
+        draws = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, 2))
+        walk = np.concatenate((np.zeros((1, 2)), np.cumsum(draws, axis=0)))
+        assert np.array_equal(np.array([record.snapshots[float(k)][0][p] for k in range(n_steps + 1)]), walk)
+
+
+def test_each_chunk_builds_one_generator(monkeypatch):
+    builds = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    flat = ModelSpace.euclidean(2)
+    run_paths(make_strategy("translation", flat), flat.base_point(), flat.point_at_distance(1.0), h=0.1,
+              t_final=0.3, n_paths=300, seed=3, threads=3)
+    assert 1 <= len(builds) <= 3
