@@ -41,7 +41,6 @@ from .verify import (
     convergence_order_fit,
     distance_law_check,
     drift_identity_check,
-    law_eval,
     marginal_check,
     max_principle_demo,
 )

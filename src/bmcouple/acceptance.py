@@ -235,16 +235,13 @@ def distance_law_suite(
     n_paths: int = 200,
     seed: int = 3004,
     h_ladder=(4e-3, 2e-3, 1e-3, 5e-4),
-    threads: int = 1,
 ) -> dict:
     lines = []
     reports = []
     for strategy_id, space, params, law, horizon in _law_runs(rho0):
         strategy = make_strategy(strategy_id, space, **params)
         x0, y0 = _start_pair(space, rho0)
-        config = CheckConfig(
-            h_ladder=h_ladder, t_final=horizon, n_paths=n_paths, seed=seed, threads=threads
-        )
+        config = CheckConfig(h_ladder=h_ladder, t_final=horizon, n_paths=n_paths, seed=seed)
         report = distance_law_check(strategy, x0, y0, law, config)
         reports.append(report)
         lines.append(
@@ -264,15 +261,13 @@ def distance_law_suite(
 # -- 5: cross-construction consistency ---------------------------------------------------------
 
 
-def consistency_suite(
-    rho0: float = 1.0, n_paths: int = 200, seed: int = 3005, threads: int = 1
-) -> dict:
+def consistency_suite(rho0: float = 1.0, n_paths: int = 200, seed: int = 3005) -> dict:
     """The extrinsic contracting coupling and the synchronous rotation coupling
     follow the common law 2 arcsin(e^{-t/2} sin(rho0/2)) on the 2-sphere."""
     space = ModelSpace.sphere(2)
     law = law_synchronous(space, rho0)
     x0, y0 = _start_pair(space, rho0)
-    config = CheckConfig(t_final=3.0, n_paths=n_paths, seed=seed, threads=threads)
+    config = CheckConfig(t_final=3.0, n_paths=n_paths, seed=seed)
     lines = []
     for strategy_id, params in (
         ("extrinsic-contract-s2", {}),
@@ -294,7 +289,8 @@ def consistency_suite(
 
 
 def _marginal_instances(rho0: float):
-    """(strategy id, space, params, step size) rows of the marginal suite.
+    """(strategy id, space, params, step size) rows of the marginal suite;
+    the last, broken-marginal, is the negative control.
 
     The mirror coupling runs at a finer step: its gluing carries a one-off
     O(sqrt(h)) weak error at the meeting step, so the linear-functional bias
@@ -317,6 +313,7 @@ def _marginal_instances(rho0: float):
         ("rotation", s3, {"k": 2.0}, 2e-3),
         ("rotation", h2, {"alpha_override": np.pi}, 2e-3),
         ("rotation", f3, {"alpha_override": np.pi}, 2e-3),
+        ("broken-marginal", s2, {}, 2e-3),
     ]
 
 
@@ -325,7 +322,6 @@ def marginal_suite(
     n_paths: int = 10_000,
     seed: int = 3006,
     times=(0.25, 0.5, 1.0),
-    threads: int = 1,
 ) -> dict:
     lines = []
     for strategy_id, space, params, h in _marginal_instances(rho0):
@@ -341,8 +337,20 @@ def marginal_suite(
             seed=seed,
             record_stride=int(round(max(times) / h)),
             snapshot_times=times,
-            threads=threads,
         )
+        if strategy_id == "broken-marginal":
+            # negative control: must fail loudly
+            report = marginal_check(
+                strategy, x0, y0, coordinate="Y", times=times, record=record
+            )
+            lines.append(
+                _line(
+                    "broken-marginal negative control fails",
+                    report["max_abs_z"] > 5.0,
+                    f"max |z| = {report['max_abs_z']:.1f} (> 5 required)",
+                )
+            )
+            continue
         for coordinate in ("X", "Y"):
             report = marginal_check(
                 strategy, x0, y0, coordinate=coordinate, times=times, record=record
@@ -351,20 +359,6 @@ def marginal_suite(
             lines.append(
                 _line(label, report["pass"], f"max |z| = {report['max_abs_z']:.2f}")
             )
-    # negative control: must fail loudly
-    space = ModelSpace.sphere(2)
-    broken = make_strategy("broken-marginal", space)
-    x0, y0 = _start_pair(space, rho0)
-    report = marginal_check(
-        broken, x0, y0, coordinate="Y", times=times, h=2e-3, n_paths=n_paths, seed=seed
-    )
-    lines.append(
-        _line(
-            "broken-marginal negative control fails",
-            report["max_abs_z"] > 5.0,
-            f"max |z| = {report['max_abs_z']:.1f} (> 5 required)",
-        )
-    )
     return _suite("marginals", lines)
 
 
@@ -429,7 +423,6 @@ def shyness_suite(
     n_paths: int = 500,
     h: float = 1e-3,
     seed: int = 3008,
-    threads: int = 1,
 ) -> dict:
     space = ModelSpace.sphere(2)
     strategy = make_strategy("extrinsic-expand-s2", space, eps=eps)
@@ -442,7 +435,6 @@ def shyness_suite(
         t_final=t_final,
         n_paths=n_paths,
         seed=seed,
-        threads=threads,
     )
     floor = min(rho0, eps / 4.0)
     min_rho = float(np.min(record.rho))
@@ -506,9 +498,3 @@ SUITES = {
     "shyness": shyness_suite,
     "max-principle": max_principle_suite,
 }
-
-
-def run_suite(name: str, **kwargs) -> dict:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    return SUITES[name](**kwargs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .acceptance import SUITES, run_suite
+from .acceptance import SUITES
 from .couplings import make_strategy, rotation_angle_cos
 from .errors import (
     ConjugatePointError,
@@ -26,7 +26,7 @@ from .errors import (
     InfeasibleRateError,
     StepTooLargeError,
 )
-from .simulate import run_paths
+from .simulate import PATHS_PER_THREAD, run_paths
 from .spaces import ModelSpace, parse_space
 from .verify import LAW_TOL, REPORT_KEYS, build_law, drift_identity_check, law_sup_error, report_json
 
@@ -36,10 +36,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
-
-# a second thread pays for itself only on batches this large: the per-step
-# numpy calls of smaller ones are too short to overlap under the interpreter lock
-PATHS_PER_THREAD = 2048
 
 
 @dataclass
@@ -59,7 +55,7 @@ class SimConfig:
     paths: int = 100
     seed: int = 0
     record_stride: int = 1
-    threads: int | None = None  # None: one per PATHS_PER_THREAD paths, up to the CPU count
+    threads: int | None = None  # None: run_paths picks one per PATHS_PER_THREAD paths, up to the CPU count
     law: str | None = None
     out: str | None = None
 
@@ -115,10 +111,6 @@ def _start_points(config: SimConfig, space: ModelSpace):
 
 
 def cmd_simulate(config: SimConfig) -> int:
-    if config.paths < 1:
-        raise DomainError("--paths must be at least 1")
-    if config.h <= 0 or config.t_final <= 0:
-        raise DomainError("--h and --T must be positive")
     space = parse_space(config.space)
     strategy = make_strategy(
         config.strategy,
@@ -129,9 +121,6 @@ def cmd_simulate(config: SimConfig) -> int:
     )
     x0, y0 = _start_points(config, space)
     law = None if config.law is None else build_law(config.law, space, x0, y0, config.k)
-    threads = config.threads
-    if threads is None:
-        threads = min(max(1, config.paths // PATHS_PER_THREAD), os.cpu_count() or 1)
     record = run_paths(
         strategy,
         x0,
@@ -141,7 +130,7 @@ def cmd_simulate(config: SimConfig) -> int:
         n_paths=config.paths,
         seed=config.seed,
         record_stride=config.record_stride,
-        threads=threads,
+        threads=config.threads,
     )
     summary = dict.fromkeys(REPORT_KEYS)
     summary.update(
@@ -170,13 +159,7 @@ def cmd_simulate(config: SimConfig) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.threads is not None:
-        import inspect
-
-        if "threads" in inspect.signature(SUITES[args.suite]).parameters:
-            kwargs["threads"] = args.threads
-    result = run_suite(args.suite, **kwargs)
+    result = SUITES[args.suite]()
     for line in result["lines"]:
         status = "PASS" if line["ok"] else "FAIL"
         print(f"[{status}] {line['label']}: {line['detail']}")
@@ -232,7 +215,7 @@ def cmd_table(args) -> int:
     elif args.kind == "law-ladder":
         from .acceptance import distance_law_suite
 
-        suite = distance_law_suite(n_paths=args.paths, threads=args.threads or 1)
+        suite = distance_law_suite(n_paths=args.paths)
         rows = []
         for report in suite["reports"]:
             for h, err in zip(report["h_ladder"], report["sup_err"]):
@@ -274,13 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--paths", type=int, help="number of Monte Carlo paths")
     sim.add_argument("--seed", type=int, help=f"base seed (default from ${SEED_ENV_VAR} or 0)")
     sim.add_argument("--record-stride", type=int, dest="record_stride")
-    sim.add_argument("--threads", type=int, help=f"worker threads (default: one per {PATHS_PER_THREAD} paths, up to the CPU count)")
+    sim.add_argument("--threads", type=int, help=f"worker threads, which set only the speed (default: one per {PATHS_PER_THREAD} paths, up to the CPU count)")
     sim.add_argument("--law", help="optional closed-form law to compare against")
     sim.add_argument("--out", help="output directory (default: current)")
 
     ver = sub.add_parser("verify", help="run a named verification suite")
     ver.add_argument("suite", choices=sorted(SUITES))
-    ver.add_argument("--threads", type=int)
 
     tab = sub.add_parser("table", help="emit a comparison table")
     tab.add_argument("kind", choices=["drift-identity", "feasibility", "law-ladder"])
@@ -288,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--k-grid", default="-2,-1,-0.5,0,0.5,1,2", dest="k_grid")
     tab.add_argument("--rho-grid", default="0.25,0.5,1,2", dest="rho_grid")
     tab.add_argument("--paths", type=int, default=50)
-    tab.add_argument("--threads", type=int)
     return parser
 
 

@@ -140,37 +140,3 @@ def kendall_compose(j, k, db, dc) -> np.ndarray:
         raise CouplingConstraintError(f"J J' + K K' deviates from I by {resid:.3e}")
     return out
 
-
-# -- one-step spectral factors (deterministic weak-error diagnostics) ---------
-
-
-def stroock_linear_factor(h: float, n_nodes: int = 120) -> float:
-    """Exact one-step multiplier of linear functionals under stroock_step.
-
-    By rotational symmetry E[v . X_next | X] = factor(h) * (v . X); the factor
-    is a one-dimensional Gaussian integral evaluated by Gauss-Laguerre
-    quadrature, so weak-error decay can be measured without Monte Carlo.
-    """
-    nodes, weights = np.polynomial.laguerre.laggauss(n_nodes)
-    # |P G|^2 with G standard 3-normal and P the tangent projector is chi^2_2,
-    # i.e. 2T with T ~ Exp(1).
-    vals = (1.0 - h) / np.sqrt((1.0 - h) ** 2 + 2.0 * h * nodes)
-    return float(np.sum(weights * vals))
-
-
-def walk_linear_factor(h: float, dim: int, n_nodes: int = 160) -> float:
-    """Exact one-step multiplier of ambient-linear functionals under
-    geodesic_walk_step on the sphere of dimension ``dim``: E cos(sqrt(h) |G|),
-    G standard normal in R^dim.  Even dim: Gauss-Laguerre in T = |G|^2 / 2.
-    Odd dim: Gauss-Hermite in r = |G|, whose weight r^(dim-1) e^(-r^2/2) is an
-    even polynomial times a Gaussian (half the whole-line integral)."""
-    from math import gamma
-
-    if dim % 2:
-        nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
-        vals = np.cos(np.sqrt(h) * nodes) * nodes ** (dim - 1)
-        return float(np.sum(weights * vals) / (2.0 ** (dim / 2.0) * gamma(dim / 2.0)))
-    nodes, weights = np.polynomial.laguerre.laggauss(n_nodes)
-    power = dim / 2.0 - 1.0
-    vals = np.cos(np.sqrt(2.0 * h * nodes)) * nodes**power
-    return float(np.sum(weights * vals) / gamma(dim / 2.0))

@@ -7,6 +7,7 @@ paths are chunked over worker threads.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -19,6 +20,9 @@ from .errors import DomainError
 NOISE_WINDOW = 256  # max steps of noise pre-generated per path chunk
 NOISE_BUDGET = 25_000_000  # max pre-generated doubles per chunk (~200 MB)
 RECORD_BUDGET = 1 << 14  # max buffered doubles of recorded y - x per chunk (128 KB)
+# a second thread pays for itself only on batches this large: the per-step
+# numpy calls of smaller ones are too short to overlap under the interpreter lock
+PATHS_PER_THREAD = 2048
 
 
 @dataclass
@@ -224,7 +228,7 @@ def run_paths(
     seed: int,
     record_stride: int = 1,
     snapshot_times=(),
-    threads: int = 1,
+    threads: int | None = None,
     stop=None,
 ) -> TrajectoryRecord:
     """Simulate n_paths independent trajectories of the coupled pair.
@@ -240,12 +244,17 @@ def run_paths(
     full and at the end of each noise window: one call measures its chords,
     and rho is derived from them.  The records do not depend on the budget.
     Path p draws the Philox stream keyed (seed, p); each worker thread builds
-    one generator and re-keys it per path (``_run_chunk``).
+    one generator and re-keys it per path (``_run_chunk``), so the thread
+    count sets only the speed.  By default it is one thread per
+    ``PATHS_PER_THREAD`` paths, at least one and at most the CPU count.
+    ``x0`` and ``y0`` are one point each, or one row per path.
     """
     if h <= 0.0 or t_final <= 0.0:
         raise DomainError("step size and horizon must be positive")
     if n_paths < 1:
         raise DomainError("need at least one path")
+    if threads is None:
+        threads = min(max(1, n_paths // PATHS_PER_THREAD), os.cpu_count() or 1)
     if record_stride < 1 or threads < 1:
         raise DomainError("record_stride and threads must be at least 1")
     n_steps = max(1, int(round(t_final / h)))
@@ -253,13 +262,15 @@ def run_paths(
         raise DomainError("snapshot times must lie between 0 and the horizon")
     record_idx = sorted(set(range(0, n_steps + 1, record_stride)) | {n_steps})
     snapshot_idx = {int(round(t / h)) for t in snapshot_times}
+    x0, y0 = np.asarray(x0, float), np.asarray(y0, float)
+    if any(p.ndim > 1 and len(p) != n_paths for p in (x0, y0)):
+        raise DomainError(f"expected one start point or {n_paths} rows of them")
     strategy.validate_run(x0, y0, np.arange(n_steps + 1) * h)
 
-    ranges = _chunk_ranges(n_paths, threads)
-    jobs = [
-        (strategy, x0, y0, h, n_steps, seed, range(lo, hi), record_idx, snapshot_idx, stop)
-        for lo, hi in ranges
-    ]
+    jobs = []
+    for lo, hi in _chunk_ranges(n_paths, threads):
+        starts = [p if p.ndim == 1 else p[lo:hi] for p in (x0, y0)]
+        jobs.append((strategy, *starts, h, n_steps, seed, range(lo, hi), record_idx, snapshot_idx, stop))
     if len(jobs) == 1:
         results = [_run_chunk(*job) for job in jobs]
     else:

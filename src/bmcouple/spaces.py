@@ -232,12 +232,6 @@ class ModelSpace:
         coef = self.metric_dot(q, w) / (1.0 + ch)
         return w + coef[..., None] * (p + q)
 
-    def near_cut_locus(self, p, q, eps: float) -> np.ndarray:
-        """True where q lies within eps of p's cut locus (sphere only; empty otherwise)."""
-        if self.curvature == 1:
-            return self.distance(p, q) > np.pi - eps
-        return np.zeros(np.broadcast(np.asarray(p)[..., 0], np.asarray(q)[..., 0]).shape, bool)
-
     # -- canonical points and frames ----------------------------------------
 
     def base_point(self) -> np.ndarray:
@@ -258,18 +252,6 @@ class ModelSpace:
         v = np.zeros(self.ambient_dim)
         v[axis] = 1.0
         return self._exp_unit(x, v, np.asarray(float(rho)))
-
-    def random_point(self, rng) -> np.ndarray:
-        if self.curvature == 0:
-            return rng.standard_normal(self.dim)
-        if self.curvature == 1:
-            g = rng.standard_normal(self.ambient_dim)
-            return g / np.linalg.norm(g)
-        v = np.zeros(self.ambient_dim)
-        v[1:] = rng.standard_normal(self.dim)
-        s = np.linalg.norm(v[1:])
-        v /= max(s, 1e-300)
-        return self._exp_unit(self.base_point(), v, np.asarray(s))
 
     def _frame_pole(self, x):
         """Pole data of the reference frame at the points x of a curved space:
@@ -512,11 +494,6 @@ def _half_field_index_forms(curvature, rho, n_steps: int = 4096):
     r = np.asarray(curvature)[..., None]
     pairs = ((w1, w1d, w1, w1d), (w2, w2d, w2, w2d), (w1, w1d, w2, w2d))
     return tuple(_simpson(fd * gd - r * f * g, basis[0]) for f, fd, g, gd in pairs)
-
-
-def index_form_cross_quadrature(curvature, rho, n_steps: int = 4096):
-    """Quadrature value of the bilinear index pairing of the two half-Jacobi fields."""
-    return _half_field_index_forms(curvature, rho, n_steps)[2]
 
 
 def field_index_form(curvature: int, rho: float, w, wdot, n_steps: int = 4096) -> float:

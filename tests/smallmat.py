@@ -7,9 +7,13 @@ versions written independently (explicit outer products, one pair at a time).
 The reference frame is built here as a matrix, by transporting the coordinate
 frame at the pole, and the rotation coupling's oracle builds the adapted frame
 and its parallel transport literally from it.  The tests compare the two.
+It also holds the tests' random points and the exact one-step factors of the
+two drivers, the oracles of their weak order.
 """
 
 from __future__ import annotations
+
+from math import gamma
 
 import numpy as np
 
@@ -242,3 +246,49 @@ def step_noise(stream, primary_dim: int, aux_dim: int = 0, n: int | None = None)
         aux_shape = (aux_dim,) if n is None else (n, aux_dim)
         aux = stream.standard_normal(aux_shape)
     return StepNoise(primary=primary, auxiliary=aux)
+
+
+def random_point(space, rng) -> np.ndarray:
+    """A random point of the space: normal coordinates on flat space, a
+    normalized normal vector on the sphere, and the exponential of a normal
+    tangent vector at the pole on the hyperboloid."""
+    if space.curvature == 0:
+        return rng.standard_normal(space.dim)
+    if space.curvature == 1:
+        g = rng.standard_normal(space.ambient_dim)
+        return g / np.linalg.norm(g)
+    v = np.zeros(space.ambient_dim)
+    v[1:] = rng.standard_normal(space.dim)
+    s = np.linalg.norm(v[1:])
+    v /= max(s, 1e-300)
+    return space._exp_unit(space.base_point(), v, np.asarray(s))
+
+
+def stroock_linear_factor(h: float, n_nodes: int = 120) -> float:
+    """Exact one-step multiplier of linear functionals under stroock_step.
+
+    By rotational symmetry E[v . X_next | X] = factor(h) * (v . X); the factor
+    is a one-dimensional Gaussian integral evaluated by Gauss-Laguerre
+    quadrature, so weak-error decay can be measured without Monte Carlo.
+    """
+    nodes, weights = np.polynomial.laguerre.laggauss(n_nodes)
+    # |P G|^2 with G standard 3-normal and P the tangent projector is chi^2_2,
+    # i.e. 2T with T ~ Exp(1).
+    vals = (1.0 - h) / np.sqrt((1.0 - h) ** 2 + 2.0 * h * nodes)
+    return float(np.sum(weights * vals))
+
+
+def walk_linear_factor(h: float, dim: int, n_nodes: int = 160) -> float:
+    """Exact one-step multiplier of ambient-linear functionals under
+    geodesic_walk_step on the sphere of dimension ``dim``: E cos(sqrt(h) |G|),
+    G standard normal in R^dim.  Even dim: Gauss-Laguerre in T = |G|^2 / 2.
+    Odd dim: Gauss-Hermite in r = |G|, whose weight r^(dim-1) e^(-r^2/2) is an
+    even polynomial times a Gaussian (half the whole-line integral)."""
+    if dim % 2:
+        nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
+        vals = np.cos(np.sqrt(h) * nodes) * nodes ** (dim - 1)
+        return float(np.sum(weights * vals) / (2.0 ** (dim / 2.0) * gamma(dim / 2.0)))
+    nodes, weights = np.polynomial.laguerre.laggauss(n_nodes)
+    power = dim / 2.0 - 1.0
+    vals = np.cos(np.sqrt(2.0 * h * nodes)) * nodes**power
+    return float(np.sum(weights * vals) / gamma(dim / 2.0))

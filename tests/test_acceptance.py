@@ -4,6 +4,9 @@ Each test prints one PASS/FAIL line per criterion (visible with pytest -s, and
 in the captured output on failure) and asserts the whole suite passed.
 """
 
+import os
+
+from bmcouple import simulate
 from bmcouple.acceptance import (
     algebra_suite,
     consistency_suite,
@@ -15,6 +18,7 @@ from bmcouple.acceptance import (
     max_principle_suite,
     shyness_suite,
 )
+from bmcouple.verify import CheckConfig
 
 
 def report(result) -> None:
@@ -62,16 +66,21 @@ def test_05_consistency_suite():
     report(consistency_suite(rho0=1.0, n_paths=200))
 
 
-def test_05_consistency_suite_same_on_one_and_two_threads():
-    # the seed contract: output depends on (seed, path id) only
-    assert consistency_suite(n_paths=50, threads=1) == consistency_suite(n_paths=50, threads=2)
+def test_05_consistency_suite_same_on_one_and_two_threads(monkeypatch):
+    # the seed contract: output depends on (seed, path id) only; 25 paths a
+    # thread puts the 50 paths on two threads
+    one = consistency_suite(n_paths=50)
+    monkeypatch.setattr(simulate, "PATHS_PER_THREAD", 25)
+    chunks = []
+    run_chunk = simulate._run_chunk
+    monkeypatch.setattr(simulate, "_run_chunk", lambda *job: chunks.append(1) or run_chunk(*job))
+    assert consistency_suite(n_paths=50) == one
+    n_runs = 2 * len(CheckConfig().h_ladder)  # two strategies over the step ladder
+    assert len(chunks) == n_runs * min(2, os.cpu_count() or 1)
 
 
 def test_06_marginal_suite():
-    # 10 000 paths gain from the second core; the 200- and 500-path suites
-    # above and below lose to it (their steps are too small to overlap), so
-    # they stay on one thread
-    report(marginal_suite(rho0=1.0, n_paths=10_000, threads=2))
+    report(marginal_suite(rho0=1.0, n_paths=10_000))
 
 
 def test_07_infeasibility_suite():

@@ -4,10 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from bmcouple import cli
+from bmcouple import simulate
 from bmcouple.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, SimConfig, main
 from bmcouple.couplings import RotationCoupling
-from bmcouple.simulate import run_paths
 from bmcouple.verify import LAW_TOL, REPORT_KEYS
 
 
@@ -159,7 +158,10 @@ class TestSimulate:
         assert err.startswith("run failed: ") and err.count("\n") == 1
         assert not (tmp_path / "trajectories.csv").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--record-stride", "0"), ("--record-stride", "-3"), ("--threads", "0")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--record-stride", "0"), ("--record-stride", "-3"), ("--threads", "0"), ("--h", "0"), ("--T", "-1")],
+    )
     def test_bad_stride_or_threads_is_config_error_and_writes_nothing(self, tmp_path, flag, value):
         code = main(
             [
@@ -168,17 +170,22 @@ class TestSimulate:
             ]
         )
         assert code == EXIT_CONFIG
-        assert not (tmp_path / "trajectories.csv").exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("paths, threads", [(100, 1), (5000, min(2, os.cpu_count() or 1))])
     def test_default_threads_follow_the_batch_size(self, tmp_path, monkeypatch, paths, threads):
-        seen = []
-        monkeypatch.setattr(cli, "run_paths", lambda *a, **kw: seen.append(kw["threads"]) or run_paths(*a, **kw))
+        # run_paths picks the default, so count the chunks it runs
+        chunks = []
+        run_chunk = simulate._run_chunk
+        monkeypatch.setattr(simulate, "_run_chunk", lambda *job: chunks.append(len(job[6])) or run_chunk(*job))
         args = ["simulate", "--strategy", "fixed-s2", "--h", "0.05", "--T", "0.05", "--paths", str(paths)]
-        assert main([*args, "--out", str(tmp_path / "a")]) == EXIT_OK
-        assert main([*args, "--threads", "2", "--out", str(tmp_path / "b")]) == EXIT_OK
         (tmp_path / "run.cfg").write_text("threads = 2\n")
-        assert main([*args, "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "c")]) == EXIT_OK
+        seen = []
+        for name, extra in (("a", []), ("b", ["--threads", "2"]), ("c", ["--config", str(tmp_path / "run.cfg")])):
+            chunks.clear()
+            assert main([*args, *extra, "--out", str(tmp_path / name)]) == EXIT_OK
+            assert sum(chunks) == paths
+            seen.append(len(chunks))
         assert seen == [threads, 2, 2]
 
     def test_unknown_strategy_is_config_error(self, tmp_path):
@@ -299,6 +306,13 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
+
+    @pytest.mark.parametrize("command", [["verify", "algebra"], ["table", "law-ladder"]])
+    def test_threads_flag_rejected_by_argparse(self, command):
+        # run_paths sets the thread count; only simulate takes --threads
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--threads", "2"])
+        assert exc.value.code == EXIT_CONFIG
 
 
 class TestTableCommand:

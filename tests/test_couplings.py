@@ -376,7 +376,7 @@ class TestRotationCoupling:
         # first-variation pairing of the two tangent noises cancels exactly
         strategy = RotationCoupling(space, alpha_override=1.234)
         rng = np.random.default_rng(14)
-        x = np.stack([space.random_point(rng) for _ in range(40)])
+        x = np.stack([sm.random_point(space, rng) for _ in range(40)])
         y = np.stack(
             [
                 space.exp_map(p, f[0] / space.metric_norm(f[0]), rng.uniform(0.2, 1.8))
@@ -406,7 +406,7 @@ class TestRotationCoupling:
         n_drive = strategy.primary_dim
         d = space.dim
         for _ in range(20):
-            x = space.random_point(rng)[None, :]
+            x = sm.random_point(space, rng)[None, :]
             frame = space.reference_frame(x)
             y = space.exp_map(x[0], frame[0, 0], rng.uniform(0.3, 1.5))[None, :]
             xis, etas = [], []

@@ -372,6 +372,36 @@ def test_start_at_no_finite_distance_is_rejected(strategy):
                   n_paths=2, seed=1)
 
 
+
+def _bits(record) -> list:
+    arrays = [record.times, record.rho, record.chord, record.regime]
+    arrays += [points for t in sorted(record.snapshots) for points in record.snapshots[t]]
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("strategy_id, params", [("fixed-s2", {}), ("rotation", {"k": 0.5})])
+def test_per_path_starts_keep_the_seed_contract(strategy_id, params):
+    """One start pair per path, at six distances: every chunk gets its own
+    rows, so the records are the same bits on 1, 2 and 3 threads."""
+    x0 = np.tile(S2.base_point(), (6, 1))
+    y0 = np.stack([S2.point_at_distance(rho) for rho in np.linspace(0.6, 1.4, 6)])
+    strategy = make_strategy(strategy_id, S2, **params)
+    runs = [
+        run_paths(strategy, x0, y0, h=4e-3, t_final=0.2, n_paths=6, seed=5, record_stride=5,
+                  snapshot_times=(0.1, 0.2), threads=threads)
+        for threads in (1, 2, 3)
+    ]
+    assert len(set(runs[0].rho[0])) == 6
+    assert _bits(runs[0]) == _bits(runs[1]) == _bits(runs[2])
+
+
+@pytest.mark.parametrize("rows", [5, 7])
+def test_per_path_starts_of_another_row_count_are_rejected_before_any_step(monkeypatch, rows):
+    monkeypatch.setattr(simulate, "_run_chunk", lambda *job: pytest.fail("a chunk ran"))
+    y0 = np.stack([S2.point_at_distance(rho) for rho in np.linspace(0.6, 1.4, rows)])
+    with pytest.raises(DomainError, match="6 rows"):
+        run_paths(make_strategy("fixed-s2", S2), S2.base_point(), y0, h=4e-3, t_final=0.2, n_paths=6, seed=5)
+
 def test_start_outside_the_stop_domain_is_rejected():
     with pytest.raises(DomainError):
         _cap_run("fixed-s2", 4, stop=lambda p: p[:, 2] - 0.99)

@@ -7,19 +7,20 @@ from bmcouple.spaces import (
     ModelSpace,
     field_index_form,
     gen_cos,
+    _half_field_index_forms,
     gen_sin,
     index_form_closed,
-    index_form_cross_quadrature,
     index_form_quadrature,
     jacobi_coefficients,
     parse_space,
 )
+from smallmat import random_point
 
 SPACES = [ModelSpace.euclidean(2), ModelSpace.sphere(2), ModelSpace.sphere(3), ModelSpace.hyperbolic(2), ModelSpace.hyperbolic(3)]
 
 
 def random_pair(space, rng, max_dist=2.5):
-    p = space.random_point(rng)
+    p = random_point(space, rng)
     frame = space.reference_frame(p)
     coeff = rng.standard_normal(space.dim)
     v = np.einsum("j,ja->a", coeff / np.linalg.norm(coeff), frame)
@@ -46,7 +47,7 @@ class TestDistance:
         rng = np.random.default_rng(1)
         for _ in range(100):
             p, q, _ = random_pair(space, rng)
-            r = space.random_point(rng)
+            r = random_point(space, rng)
             dpq = space.distance(p, q)
             assert dpq == pytest.approx(space.distance(q, p), abs=1e-12)
             assert dpq <= space.distance(p, r) + space.distance(r, q) + 1e-10
@@ -209,7 +210,7 @@ class TestIndexForms:
         rhos = np.linspace(0.1, 2.5, 9)
         q11 = index_form_quadrature(r, rhos, (1.0, 0.0))
         q22 = index_form_quadrature(r, rhos, (0.0, 1.0))
-        q12 = index_form_cross_quadrature(r, rhos)
+        q12 = _half_field_index_forms(r, rhos)[2]
         for rho, b11, b22, b12 in zip(rhos, q11, q22, q12):
             closed = index_form_closed(r, rho)
             assert b11 == pytest.approx(closed.i11, abs=1e-6 * max(1.0, abs(closed.i11)))
@@ -226,13 +227,13 @@ class TestIndexForms:
             index_form_quadrature(curvatures, rhos, (1.0, 0.0)),
             index_form_quadrature(curvatures, rhos, (0.0, 1.0)),
             index_form_quadrature(curvatures, rhos, (a, b)),
-            index_form_cross_quadrature(curvatures, rhos),
+            _half_field_index_forms(curvatures, rhos)[2],
         ]
         single = [
             [index_form_quadrature(r, rho, (1.0, 0.0)) for r, rho, _, _ in cases],
             [index_form_quadrature(r, rho, (0.0, 1.0)) for r, rho, _, _ in cases],
             [index_form_quadrature(r, rho, (ca, cb)) for r, rho, ca, cb in cases],
-            [index_form_cross_quadrature(r, rho) for r, rho, _, _ in cases],
+            [_half_field_index_forms(r, rho)[2] for r, rho, _, _ in cases],
         ]
         for got, want in zip(batched, single):
             assert isinstance(want[0], float)
@@ -242,7 +243,7 @@ class TestIndexForms:
         with pytest.raises(ConjugatePointError):
             index_form_quadrature(np.array([0, 1, -1]), np.array([1.0, np.pi, 2.0]))
         with pytest.raises(ConjugatePointError):
-            index_form_cross_quadrature(1, np.array([0.5, 3.5]))
+            _half_field_index_forms(1, np.array([0.5, 3.5]))[2]
 
     def test_curvature_comparison_of_half_fields(self):
         # higher curvature gives the smaller index value at equal length
@@ -291,28 +292,6 @@ class TestGeneralizedTrig:
         assert gen_cos(-1, 1.0) == pytest.approx(np.cosh(1.0))
 
 
-class TestCutLocus:
-    def test_antipodal_flagged(self):
-        s2 = ModelSpace.sphere(2)
-        assert s2.near_cut_locus([1, 0, 0], [-1, 0, 0], 0.3)
-
-    def test_identical_not_flagged(self):
-        s2 = ModelSpace.sphere(2)
-        assert not s2.near_cut_locus([1, 0, 0], [1, 0, 0], 0.3)
-
-    def test_threshold(self):
-        s2 = ModelSpace.sphere(2)
-        eps = 0.2
-        q = s2.point_at_distance(np.pi - eps / 2)
-        assert s2.near_cut_locus(s2.base_point(), q, eps)
-
-    def test_flat_and_hyperbolic_empty(self):
-        for space in (ModelSpace.euclidean(2), ModelSpace.hyperbolic(2)):
-            p = space.base_point()
-            q = space.point_at_distance(5.0)
-            assert not space.near_cut_locus(p, q, 0.5)
-
-
 class TestConstraints:
     def test_point_validation(self):
         s2 = ModelSpace.sphere(2)
@@ -325,7 +304,7 @@ class TestConstraints:
     def test_projection_restores_constraint(self):
         rng = np.random.default_rng(6)
         for space in SPACES:
-            p = space.random_point(rng)
+            p = random_point(space, rng)
             drifted = p * 1.0
             if space.curvature != 0:
                 drifted = p + 1e-6 * rng.standard_normal(space.ambient_dim)
@@ -337,7 +316,7 @@ class TestFrames:
     @pytest.mark.parametrize("space", SPACES)
     def test_reference_frame_orthonormal_tangent(self, space):
         rng = np.random.default_rng(21)
-        pts = np.stack([space.random_point(rng) for _ in range(50)])
+        pts = np.stack([random_point(space, rng) for _ in range(50)])
         frame = space.reference_frame(pts)
         gram = space.metric_dot(frame[:, :, None, :], frame[:, None, :, :])
         assert np.max(np.abs(gram - np.eye(space.dim))) < 1e-11
@@ -347,7 +326,7 @@ class TestFrames:
     @pytest.mark.parametrize("space", SPACES)
     def test_frame_with_first(self, space):
         rng = np.random.default_rng(22)
-        pts = np.stack([space.random_point(rng) for _ in range(50)])
+        pts = np.stack([random_point(space, rng) for _ in range(50)])
         raw = rng.standard_normal(pts.shape)
         u = space.project_tangent(pts, raw)
         u = u / space.metric_norm(u)[..., None]

@@ -5,6 +5,7 @@ import pytest
 
 from bmcouple.couplings import distance_drift, make_strategy
 from bmcouple.errors import DomainError
+from bmcouple.simulate import run_paths
 from bmcouple.spaces import ModelSpace
 from bmcouple.verify import (
     CheckConfig,
@@ -16,7 +17,6 @@ from bmcouple.verify import (
     field_index_form_check,
     law_chordal_contract,
     law_chordal_expand,
-    law_eval,
     law_exponential_rate,
     law_fixed,
     law_perverse,
@@ -85,23 +85,23 @@ class TestLaws:
             law_synchronous(S2, 0.7),
             law_perverse(ModelSpace.hyperbolic(2), 0.7),
         ):
-            assert law_eval(law, 0.0) == pytest.approx(0.7, abs=1e-14)
+            assert law.evaluate(0.0) == pytest.approx(0.7, abs=1e-14)
 
     def test_sphere_synchronous_value(self):
         # d=2, rho0=pi/2 at t = 2 ln 2: the decay factor is exactly 1/2
         law = law_synchronous(S2, np.pi / 2)
         expected = 2.0 * np.arcsin(np.sqrt(2.0) / 4.0)
-        assert law_eval(law, 2.0 * np.log(2.0)) == pytest.approx(expected, abs=1e-14)
+        assert law.evaluate(2.0 * np.log(2.0)) == pytest.approx(expected, abs=1e-14)
         assert expected == pytest.approx(0.72273, abs=5e-6)
 
     def test_flat_perverse_value(self):
         law = law_perverse(ModelSpace.euclidean(2), 1.0)
-        assert law_eval(law, 1.0) == pytest.approx(np.sqrt(5.0), abs=1e-14)
+        assert law.evaluate(1.0) == pytest.approx(np.sqrt(5.0), abs=1e-14)
 
     def test_perverse_monotone_increasing(self):
         for space in (S2, ModelSpace.euclidean(2), ModelSpace.hyperbolic(2)):
             law = law_perverse(space, 0.5)
-            values = law_eval(law, np.linspace(0, 1, 50))
+            values = law.evaluate(np.linspace(0, 1, 50))
             assert np.all(np.diff(values) > 0)
 
 
@@ -166,28 +166,29 @@ class TestIndexLemmaCheck:
 
 
 class TestMarginalCheck:
-    def test_independent_passes(self):
-        strategy = make_strategy("independent", S2)
-        report = marginal_check(
-            strategy, S2.base_point(), S2.point_at_distance(1.0),
-            coordinate="X", times=(0.25, 0.5), h=2e-3, n_paths=2000, seed=4,
+    @staticmethod
+    def _check(strategy_id, coordinate, times, n_paths):
+        strategy = make_strategy(strategy_id, S2)
+        x0, y0 = S2.base_point(), S2.point_at_distance(1.0)
+        record = run_paths(
+            strategy, x0, y0, h=2e-3, t_final=max(times), n_paths=n_paths, seed=4,
+            record_stride=round(max(times) / 2e-3), snapshot_times=times,
         )
+        return marginal_check(strategy, x0, y0, record=record, coordinate=coordinate, times=times)
+
+    def test_independent_passes(self):
+        report = self._check("independent", "X", (0.25, 0.5), 2000)
         assert report["max_abs_z"] < 4.0
         assert {"t", "direction", "z"} <= set(report["rows"][0])
 
     def test_negative_control_fails(self):
-        strategy = make_strategy("broken-marginal", S2)
-        report = marginal_check(
-            strategy, S2.base_point(), S2.point_at_distance(1.0),
-            coordinate="Y", times=(0.5, 1.0), h=2e-3, n_paths=4000, seed=4,
-        )
+        report = self._check("broken-marginal", "Y", (0.5, 1.0), 4000)
         assert report["max_abs_z"] > 5.0
         assert not report["pass"]
 
     def test_bad_coordinate_rejected(self):
-        strategy = make_strategy("independent", S2)
         with pytest.raises(DomainError):
-            marginal_check(strategy, S2.base_point(), S2.point_at_distance(1.0), coordinate="Z")
+            self._check("independent", "Z", (0.25,), 2)
 
 
 class TestCapHarmonic:
