@@ -26,14 +26,10 @@ from .simulate import run_paths
 from .spaces import ModelSpace, index_form_closed, index_form_quadrature
 from .verify import (
     CheckConfig,
+    build_law,
     distance_law_check,
     drift_identity_check,
     field_index_form_check,
-    law_chordal_contract,
-    law_chordal_expand,
-    law_fixed,
-    law_perverse,
-    law_synchronous,
     marginal_check,
     max_principle_demo,
 )
@@ -47,7 +43,10 @@ def _suite(name: str, lines) -> dict:
     return {"suite": name, "pass": all(l["ok"] for l in lines), "lines": lines}
 
 
-def _start_pair(space: ModelSpace, rho0: float):
+_S2 = ModelSpace.sphere(2)
+
+
+def _start_pair(space: ModelSpace, rho0: float = 1.0):
     return space.base_point(), space.point_at_distance(rho0)
 
 
@@ -85,9 +84,11 @@ def fixed_distance_columns(x, y):
     return j, k
 
 
-def algebra_suite(n_pairs: int = 10_000, n_alpha: int = 1000, seed: int = 3001) -> dict:
-    """The 2-sphere constructions the coupling moves use, on random unit pairs,
-    and the rotation coupling's angle against its rate equation."""
+def algebra_suite(seed: int = 3001) -> dict:
+    """The 2-sphere constructions the coupling moves use, on 10 000 random
+    unit pairs, and the rotation coupling's angle against its rate equation
+    at 1000 random feasible rates."""
+    n_pairs, n_alpha = 10_000, 1000
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_pairs, 3))
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
@@ -191,7 +192,7 @@ def exact_invariant_suite(n_steps: int = 1_000_000, seed: int = 3003) -> dict:
     lines = []
     for strategy_id, space in (("translation", ModelSpace.euclidean(2)), ("so3-flow", ModelSpace.sphere(2))):
         strategy = make_strategy(strategy_id, space)
-        x0, y0 = _start_pair(space, 1.0)
+        x0, y0 = _start_pair(space)
         record = run_paths(strategy, x0, y0, h=h, t_final=n_steps * h, n_paths=1, seed=seed)
         worst = float(np.max(np.abs(record.rho - record.rho[0])))
         ok = len(record.times) == n_steps + 1 and worst < 1e-12
@@ -202,46 +203,28 @@ def exact_invariant_suite(n_steps: int = 1_000_000, seed: int = 3003) -> dict:
 # -- 4: distance laws ----------------------------------------------------------------------
 
 
-def _law_runs(rho0: float):
-    """The (strategy, space, law, horizon) table of the distance-law suite."""
-    s2 = ModelSpace.sphere(2)
-    chord0 = float(np.linalg.norm(s2.point_at_distance(rho0) - s2.base_point()))
-    sum0 = float(np.linalg.norm(s2.point_at_distance(rho0) + s2.base_point()))
-    return [
-        ("extrinsic-contract-s2", s2, {}, law_chordal_contract(chord0), 3.0),
-        ("extrinsic-expand-s2", s2, {}, law_chordal_expand(sum0), 1.0),
-        ("fixed-s2", s2, {}, law_fixed(rho0), 1.0),
-        ("rotation", s2, {"k": 0.0}, law_fixed(rho0), 1.0),
-        ("rotation", s2, {"alpha_override": 0.0}, law_synchronous(s2, rho0), 3.0),
-        (
-            "rotation",
-            ModelSpace.euclidean(2),
-            {"alpha_override": np.pi},
-            law_perverse(ModelSpace.euclidean(2), rho0),
-            1.0,
-        ),
-        (
-            "rotation",
-            ModelSpace.hyperbolic(2),
-            {"alpha_override": np.pi},
-            law_perverse(ModelSpace.hyperbolic(2), rho0),
-            1.0,
-        ),
-    ]
+# (strategy, space, strategy params, law id, horizon) rows of the distance-law suite
+_LAW_RUNS = (
+    ("extrinsic-contract-s2", _S2, {}, "chordal-contract", 3.0),
+    ("extrinsic-expand-s2", _S2, {}, "chordal-expand", 1.0),
+    ("fixed-s2", _S2, {}, "fixed", 1.0),
+    ("rotation", _S2, {"k": 0.0}, "fixed", 1.0),
+    ("rotation", _S2, {"alpha_override": 0.0}, "sphere-synchronous", 3.0),
+    ("rotation", ModelSpace.euclidean(2), {"alpha_override": np.pi}, "flat-perverse", 1.0),
+    ("rotation", ModelSpace.hyperbolic(2), {"alpha_override": np.pi}, "hyperbolic-perverse", 1.0),
+)
 
 
-def distance_law_suite(
-    rho0: float = 1.0,
-    n_paths: int = 200,
-    seed: int = 3004,
-    h_ladder=(4e-3, 2e-3, 1e-3, 5e-4),
-) -> dict:
+def distance_law_suite(n_paths: int = 200, seed: int = 3004) -> dict:
+    """Each row's ensemble mean against its law, from rho0 = 1 over the step
+    ladder of ``CheckConfig``."""
     lines = []
     reports = []
-    for strategy_id, space, params, law, horizon in _law_runs(rho0):
+    for strategy_id, space, params, law_id, horizon in _LAW_RUNS:
         strategy = make_strategy(strategy_id, space, **params)
-        x0, y0 = _start_pair(space, rho0)
-        config = CheckConfig(h_ladder=h_ladder, t_final=horizon, n_paths=n_paths, seed=seed)
+        x0, y0 = _start_pair(space)
+        law = build_law(law_id, space, x0, y0, params.get("k"))
+        config = CheckConfig(t_final=horizon, n_paths=n_paths, seed=seed)
         report = distance_law_check(strategy, x0, y0, law, config)
         reports.append(report)
         lines.append(
@@ -250,7 +233,7 @@ def distance_law_suite(
                 report["pass"],
                 f"mean-chain err {report['sup_err'][-1]:.4f} order {report['fitted_order']:.2f}; "
                 f"per-path chain err {report['mae_sup'][-1]:.4f} "
-                f"order {report['fitted_order_mae']:.2f} at h={h_ladder[-1]:g}",
+                f"order {report['fitted_order_mae']:.2f} at h={config.h_ladder[-1]:g}",
             )
         )
     out = _suite("distance-laws", lines)
@@ -261,19 +244,19 @@ def distance_law_suite(
 # -- 5: cross-construction consistency ---------------------------------------------------------
 
 
-def consistency_suite(rho0: float = 1.0, n_paths: int = 200, seed: int = 3005) -> dict:
+def consistency_suite(n_paths: int = 200, seed: int = 3005) -> dict:
     """The extrinsic contracting coupling and the synchronous rotation coupling
-    follow the common law 2 arcsin(e^{-t/2} sin(rho0/2)) on the 2-sphere."""
-    space = ModelSpace.sphere(2)
-    law = law_synchronous(space, rho0)
-    x0, y0 = _start_pair(space, rho0)
+    follow the common law 2 arcsin(e^{-t/2} sin(rho0/2)) on the 2-sphere,
+    from rho0 = 1."""
+    x0, y0 = _start_pair(_S2)
+    law = build_law("sphere-synchronous", _S2, x0, y0)
     config = CheckConfig(t_final=3.0, n_paths=n_paths, seed=seed)
     lines = []
     for strategy_id, params in (
         ("extrinsic-contract-s2", {}),
         ("rotation", {"alpha_override": 0.0}),
     ):
-        strategy = make_strategy(strategy_id, space, **params)
+        strategy = make_strategy(strategy_id, _S2, **params)
         report = distance_law_check(strategy, x0, y0, law, config)
         lines.append(
             _line(
@@ -288,45 +271,35 @@ def consistency_suite(rho0: float = 1.0, n_paths: int = 200, seed: int = 3005) -
 # -- 6: marginals -----------------------------------------------------------------------------
 
 
-def _marginal_instances(rho0: float):
-    """(strategy id, space, params, step size) rows of the marginal suite;
-    the last, broken-marginal, is the negative control.
-
-    The mirror coupling runs at a finer step: its gluing carries a one-off
-    O(sqrt(h)) weak error at the meeting step, so the linear-functional bias
-    only drops below the Monte Carlo resolution for small h.
-    """
-    s2 = ModelSpace.sphere(2)
-    s3 = ModelSpace.sphere(3)
-    h2 = ModelSpace.hyperbolic(2)
-    f2 = ModelSpace.euclidean(2)
-    f3 = ModelSpace.euclidean(3)
-    return [
-        ("translation", f2, {}, 2e-3),
-        ("independent", s2, {}, 2e-3),
-        ("mirror-s2", s2, {}, 1e-4),
-        ("extrinsic-contract-s2", s2, {}, 2e-3),
-        ("extrinsic-expand-s2", s2, {}, 2e-3),
-        ("fixed-s2", s2, {}, 2e-3),
-        ("so3-flow", s2, {}, 2e-3),
-        ("rotation", s2, {"k": 0.0}, 2e-3),
-        ("rotation", s3, {"k": 2.0}, 2e-3),
-        ("rotation", h2, {"alpha_override": np.pi}, 2e-3),
-        ("rotation", f3, {"alpha_override": np.pi}, 2e-3),
-        ("broken-marginal", s2, {}, 2e-3),
-    ]
+# (strategy id, space, params, step size) rows of the marginal suite; the
+# last, broken-marginal, is the negative control.  The mirror coupling runs at
+# a finer step: its gluing carries a one-off O(sqrt(h)) weak error at the
+# meeting step, so the linear-functional bias only drops below the Monte
+# Carlo resolution for small h.
+_MARGINAL_RUNS = (
+    ("translation", ModelSpace.euclidean(2), {}, 2e-3),
+    ("independent", _S2, {}, 2e-3),
+    ("mirror-s2", _S2, {}, 1e-4),
+    ("extrinsic-contract-s2", _S2, {}, 2e-3),
+    ("extrinsic-expand-s2", _S2, {}, 2e-3),
+    ("fixed-s2", _S2, {}, 2e-3),
+    ("so3-flow", _S2, {}, 2e-3),
+    ("rotation", _S2, {"k": 0.0}, 2e-3),
+    ("rotation", ModelSpace.sphere(3), {"k": 2.0}, 2e-3),
+    ("rotation", ModelSpace.hyperbolic(2), {"alpha_override": np.pi}, 2e-3),
+    ("rotation", ModelSpace.euclidean(3), {"alpha_override": np.pi}, 2e-3),
+    ("broken-marginal", _S2, {}, 2e-3),
+)
 
 
-def marginal_suite(
-    rho0: float = 1.0,
-    n_paths: int = 10_000,
-    seed: int = 3006,
-    times=(0.25, 0.5, 1.0),
-) -> dict:
+def marginal_suite(seed: int = 3006) -> dict:
+    """Both marginals of each row at t = 0.25, 0.5 and 1 over 10 000 paths
+    from rho0 = 1, against the exact linear-functional decay."""
+    n_paths, times = 10_000, (0.25, 0.5, 1.0)
     lines = []
-    for strategy_id, space, params, h in _marginal_instances(rho0):
+    for strategy_id, space, params, h in _MARGINAL_RUNS:
         strategy = make_strategy(strategy_id, space, **params)
-        x0, y0 = _start_pair(space, rho0)
+        x0, y0 = _start_pair(space)
         record = run_paths(
             strategy,
             x0,
@@ -365,7 +338,9 @@ def marginal_suite(
 # -- 7: infeasibility ---------------------------------------------------------------------------
 
 
-def infeasibility_suite(rho0: float = 1.0) -> dict:
+def infeasibility_suite() -> dict:
+    """Which rates the rotation coupling accepts at rho0 = 1 on each space."""
+    rho0 = 1.0
     lines = []
 
     def rejects(space, k) -> bool:
@@ -416,26 +391,13 @@ def infeasibility_suite(rho0: float = 1.0) -> dict:
 # -- 8: shyness / patching ------------------------------------------------------------------------
 
 
-def shyness_suite(
-    rho0: float = 0.5,
-    eps: float = 0.4,
-    t_final: float = 10.0,
-    n_paths: int = 500,
-    h: float = 1e-3,
-    seed: int = 3008,
-) -> dict:
-    space = ModelSpace.sphere(2)
-    strategy = make_strategy("extrinsic-expand-s2", space, eps=eps)
-    x0, y0 = _start_pair(space, rho0)
-    record = run_paths(
-        strategy,
-        x0,
-        y0,
-        h=h,
-        t_final=t_final,
-        n_paths=n_paths,
-        seed=seed,
-    )
+def shyness_suite(seed: int = 3008) -> dict:
+    """The patched expanding coupling on the 2-sphere keeps 500 paths from
+    rho0 = 0.5 apart up to T = 10 at h = 1e-3, with patch threshold 0.4."""
+    rho0, eps, t_final, n_paths = 0.5, 0.4, 10.0, 500
+    strategy = make_strategy("extrinsic-expand-s2", _S2, eps=eps)
+    x0, y0 = _start_pair(_S2, rho0)
+    record = run_paths(strategy, x0, y0, h=1e-3, t_final=t_final, n_paths=n_paths, seed=seed)
     floor = min(rho0, eps / 4.0)
     min_rho = float(np.min(record.rho))
     switches = int(np.sum(record.regime[1:] != record.regime[:-1]))
@@ -459,12 +421,12 @@ def shyness_suite(
 # -- 9: maximum principle --------------------------------------------------------------------------
 
 
-def max_principle_suite(
-    cap_angle: float = 0.8, n_paths: int = 10_000, seed: int = 3009, h: float = 5e-4
-) -> dict:
+def max_principle_suite(seed: int = 3009) -> dict:
+    """The max-principle demo on the cap of angle 0.8 for the harmonics n = 1
+    and 2."""
     lines = []
     for n in (1, 2):
-        report = max_principle_demo(cap_angle, n, h=h, n_paths=n_paths, seed=seed + n)
+        report = max_principle_demo(0.8, n, h=5e-4, n_paths=10_000, seed=seed + n)
         lines.append(
             _line(
                 f"martingale identity (n={n})",

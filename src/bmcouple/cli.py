@@ -81,6 +81,15 @@ class SimConfig:
         return cls(**_coerce_config(values))
 
 
+def _number(text: str, cast=float):
+    """``cast(text)``, with a malformed number a DomainError."""
+    try:
+        return cast(text)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise DomainError(f"not {kind}: {text!r}") from None
+
+
 def _coerce_config(values: dict) -> dict:
     out = {}
     casts = {f.name: f for f in fields(SimConfig)}
@@ -90,9 +99,9 @@ def _coerce_config(values: dict) -> dict:
         if key in ("space", "strategy", "law", "out", "x0", "y0"):
             out[key] = val
         elif key in ("paths", "seed", "record_stride", "threads"):
-            out[key] = int(val)
+            out[key] = _number(val, int)
         else:
-            out[key] = float(val)
+            out[key] = _number(val)
     return out
 
 
@@ -168,8 +177,7 @@ def cmd_verify(args) -> int:
 
 
 def _parse_grid(text: str) -> list[float]:
-    items = [piece for piece in text.split(",") if piece.strip()]
-    return [float(piece) for piece in items]
+    return [_number(piece) for piece in text.split(",") if piece.strip()]
 
 
 def _format_table(rows: list[dict], columns: list[str], fmt: str) -> str:
@@ -193,6 +201,8 @@ def cmd_table(args) -> int:
         rho_grid = _parse_grid(args.rho_grid)
         if not k_grid or not rho_grid:
             raise DomainError("feasibility table needs non-empty --k-grid and --rho-grid")
+        if not (np.all(np.isfinite(k_grid)) and np.all(np.isfinite(rho_grid)) and min(rho_grid) > 0.0):
+            raise DomainError("feasibility table needs finite k and finite distances rho > 0")
         rows = []
         for r in (-1, 0, 1):
             for d in (2, 3):
@@ -280,7 +290,7 @@ def _merge_sim_config(args) -> SimConfig:
     else:
         config = SimConfig()
     if args.seed is None and args.config is None and SEED_ENV_VAR in os.environ:
-        config.seed = int(os.environ[SEED_ENV_VAR])
+        config.seed = _number(os.environ[SEED_ENV_VAR], int)
     for f in fields(SimConfig):
         value = getattr(args, f.name)
         if value is not None:

@@ -41,9 +41,7 @@ class TrajectoryRecord:
     rho: np.ndarray
     chord: np.ndarray
     regime: np.ndarray
-    seed: int
     h: float
-    strategy_id: str
     snapshots: dict = field(default_factory=dict)
 
     @property
@@ -290,8 +288,6 @@ def run_paths(
         rho=rho,
         chord=chord,
         regime=regime,
-        seed=seed,
         h=h,
-        strategy_id=strategy.strategy_id,
         snapshots=snapshots,
     )

@@ -9,7 +9,7 @@ and the harmonic-gradient maximum-principle demonstration on a spherical cap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,7 +42,6 @@ class DistanceLaw:
     initial: float
     evaluate: Callable[[np.ndarray], np.ndarray]
     rhs: Callable[[float], float]
-    params: dict = field(default_factory=dict)
 
 
 def law_fixed(rho0: float) -> DistanceLaw:
@@ -52,7 +51,6 @@ def law_fixed(rho0: float) -> DistanceLaw:
         initial=rho0,
         evaluate=lambda t: np.full_like(np.asarray(t, float), rho0),
         rhs=lambda rho: 0.0,
-        params={"rho0": rho0},
     )
 
 
@@ -63,7 +61,6 @@ def law_exponential_rate(rho0: float, k: float) -> DistanceLaw:
         initial=rho0,
         evaluate=lambda t: rho0 * np.exp(-k * np.asarray(t, float) / 2.0),
         rhs=lambda rho: -k * rho / 2.0,
-        params={"rho0": rho0, "k": k},
     )
 
 
@@ -73,16 +70,12 @@ def law_synchronous(space: ModelSpace, rho0: float) -> DistanceLaw:
     arcsinh form on hyperbolic space."""
     r, d = space.curvature, space.dim
     if r == 0:
-        law = law_fixed(rho0)
-        return DistanceLaw(
-            law_id="flat-synchronous",
-            observable="geodesic",
-            initial=rho0,
-            evaluate=law.evaluate,
-            rhs=law.rhs,
-            params={"rho0": rho0, "dim": d},
-        )
-    if r == 1:
+
+        def evaluate(t):
+            return np.full_like(np.asarray(t, float), rho0)
+
+        law_id = "flat-synchronous"
+    elif r == 1:
 
         def evaluate(t):
             return 2.0 * np.arcsin(np.exp(-(d - 1) * np.asarray(t, float) / 2.0) * np.sin(rho0 / 2.0))
@@ -96,7 +89,7 @@ def law_synchronous(space: ModelSpace, rho0: float) -> DistanceLaw:
         law_id = "hyperbolic-synchronous"
 
     rhs = scalar_distance_drift(space, 0.0)
-    return DistanceLaw(law_id, "geodesic", rho0, evaluate, rhs, {"rho0": rho0, "dim": d})
+    return DistanceLaw(law_id, "geodesic", rho0, evaluate, rhs)
 
 
 def law_perverse(space: ModelSpace, rho0: float) -> DistanceLaw:
@@ -123,7 +116,7 @@ def law_perverse(space: ModelSpace, rho0: float) -> DistanceLaw:
         law_id = "hyperbolic-perverse"
 
     rhs = scalar_distance_drift(space, np.pi)
-    return DistanceLaw(law_id, "geodesic", rho0, evaluate, rhs, {"rho0": rho0, "dim": d})
+    return DistanceLaw(law_id, "geodesic", rho0, evaluate, rhs)
 
 
 def law_chordal_contract(chord0: float) -> DistanceLaw:
@@ -133,7 +126,6 @@ def law_chordal_contract(chord0: float) -> DistanceLaw:
         initial=chord0,
         evaluate=lambda t: chord0 * np.exp(-np.asarray(t, float) / 2.0),
         rhs=lambda m: -m / 2.0,
-        params={"chord0": chord0},
     )
 
 
@@ -150,7 +142,6 @@ def law_chordal_expand(sum_norm0: float) -> DistanceLaw:
         initial=float(np.sqrt(4.0 - s2)),
         evaluate=evaluate,
         rhs=lambda m: (4.0 - m * m) / (2.0 * m),
-        params={"sum_norm0": sum_norm0},
     )
 
 
@@ -173,6 +164,7 @@ def _sphere2_chord(space, v):
 LAWS = {
     "fixed": lambda space, rho0, x0, y0, k: law_fixed(rho0),
     "exponential-rate": lambda space, rho0, x0, y0, k: law_exponential_rate(rho0, _given_rate(k)),
+    "flat-synchronous": lambda space, rho0, x0, y0, k: law_synchronous(space, rho0),
     "sphere-synchronous": lambda space, rho0, x0, y0, k: law_synchronous(space, rho0),
     "hyperbolic-synchronous": lambda space, rho0, x0, y0, k: law_synchronous(space, rho0),
     "flat-perverse": lambda space, rho0, x0, y0, k: law_perverse(space, rho0),
@@ -335,26 +327,28 @@ def marginal_check(
     record,
     coordinate: str,
     times=(0.25, 0.5, 1.0),
-    directions=None,
 ) -> dict:
-    """z-scores of E[v . X_t] against the exact linear-functional decay, from
-    the snapshots at ``times`` of a record of the strategy run from (x0, y0);
-    one record serves both coordinates."""
+    """z-scores of E[v . X_t] against the exact linear-functional decay, for
+    the first (at most three) ambient axes v, from the snapshots at ``times``
+    of a record of the strategy run from (x0, y0); one record serves both
+    coordinates.  Each time needs the snapshot ``run_paths`` keys at the step
+    nearest it; a time without one is rejected."""
     if coordinate not in ("X", "Y"):
         raise DomainError("coordinate must be 'X' or 'Y'")
     space = strategy.space
     start = np.asarray(x0 if coordinate == "X" else y0, float)
-    if directions is None:
-        directions = list(np.eye(space.ambient_dim)[: min(3, space.ambient_dim)])
+    directions = np.eye(space.ambient_dim)[: min(3, space.ambient_dim)]
     n_paths = record.n_paths
     rows = []
     for t in times:
-        key = min(record.snapshots, key=lambda s: abs(s - t))
+        key = round(t / record.h) * record.h
+        if key not in record.snapshots:
+            raise DomainError(f"the record has no snapshot at t = {t:g}")
         points = record.snapshots[key][0 if coordinate == "X" else 1]
         factor = _marginal_factor(space, key)
         for v in directions:
-            samples = points @ np.asarray(v, float)
-            target = factor * float(start @ np.asarray(v, float))
+            samples = points @ v
+            target = factor * float(start @ v)
             se = float(np.std(samples, ddof=1) / np.sqrt(n_paths))
             z = (float(np.mean(samples)) - target) / max(se, 1e-300)
             rows.append({"t": key, "direction": list(map(float, v)), "z": z})
@@ -517,7 +511,6 @@ def max_principle_demo(
     n_paths: int = 10_000,
     t_max: float = 10.0,
     seed: int = 777,
-    separation: float = 0.05,
 ) -> dict:
     """Check the coupling mechanism behind the boundary maximum principle for
     the gradient of a cap harmonic.
@@ -547,6 +540,7 @@ def max_principle_demo(
         ((xs, ys),) = record.snapshots.values()
         return u(xs) - u(ys)
 
+    separation = 0.05  # distance of every started pair
     # (i) martingale identity; run at a finer step, since the discrete
     # boundary monitoring bias is what limits the z-score here
     x0 = _cap_point(0.45 * cap_angle)

@@ -30,7 +30,7 @@ def report(result) -> None:
 
 
 def test_01_algebra_suite():
-    report(algebra_suite(n_pairs=10_000, n_alpha=1000))
+    report(algebra_suite())
 
 
 def test_01_algebra_suite_seed_sweep():
@@ -59,11 +59,11 @@ def test_03_exact_invariant_translation_line_is_pinned():
 
 
 def test_04_distance_law_suite():
-    report(distance_law_suite(rho0=1.0, n_paths=200, h_ladder=(4e-3, 2e-3, 1e-3, 5e-4)))
+    report(distance_law_suite())
 
 
 def test_05_consistency_suite():
-    report(consistency_suite(rho0=1.0, n_paths=200))
+    report(consistency_suite())
 
 
 def test_05_consistency_suite_same_on_one_and_two_threads(monkeypatch):
@@ -80,16 +80,16 @@ def test_05_consistency_suite_same_on_one_and_two_threads(monkeypatch):
 
 
 def test_06_marginal_suite():
-    report(marginal_suite(rho0=1.0, n_paths=10_000))
+    report(marginal_suite())
 
 
 def test_07_infeasibility_suite():
-    report(infeasibility_suite(rho0=1.0))
+    report(infeasibility_suite())
 
 
 def test_08_shyness_suite():
-    report(shyness_suite(rho0=0.5, eps=0.4, t_final=10.0, n_paths=500))
+    report(shyness_suite())
 
 
 def test_09_max_principle_suite():
-    report(max_principle_suite(cap_angle=0.8, n_paths=10_000))
+    report(max_principle_suite())

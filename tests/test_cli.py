@@ -7,6 +7,7 @@ import pytest
 from bmcouple import simulate
 from bmcouple.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, SimConfig, main
 from bmcouple.couplings import RotationCoupling
+from bmcouple.errors import DomainError
 from bmcouple.verify import LAW_TOL, REPORT_KEYS
 
 
@@ -264,6 +265,35 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "config, env, flags",
+        [
+            ("paths = abc\n", None, []),
+            ("h = fast\n", None, []),
+            (None, "abc", []),
+            (None, None, ["--x0", "1,0,x", "--y0", "0,1,0"]),
+        ],
+        ids=["config-paths", "config-h", "env-seed", "x0"],
+    )
+    def test_malformed_number_is_config_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys, config, env, flags):
+        args = ["simulate", "--h", "1e-2", "--T", "0.05", "--paths", "2", *flags]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            args += ["--config", str(tmp_path / "run.cfg")]
+        if env is not None:
+            monkeypatch.setenv("BMCOUPLE_SEED", env)
+        assert main([*args, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_flat_synchronous_law(self, tmp_path):
+        # the law the sphere-synchronous mismatch on flat space names
+        args = ["simulate", "--space", "flat:2", "--strategy", "rotation", "--alpha-override", "0"]
+        args += ["--h", "1e-2", "--T", "0.1", "--paths", "3"]
+        assert main([*args, "--law", "sphere-synchronous", "--out", str(tmp_path / "a")]) == EXIT_CONFIG
+        assert main([*args, "--law", "flat-synchronous", "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert json.loads(read(tmp_path / "b" / "summary.json"))["pass"] is True
+
     def test_one_sided_explicit_point_rejected(self, tmp_path):
         code = main(
             [
@@ -289,8 +319,6 @@ class TestSimConfigRoundTrip:
         assert config.paths == 9
 
     def test_unknown_key_rejected(self):
-        from bmcouple.errors import DomainError
-
         with pytest.raises(DomainError):
             SimConfig.parse("warp_drive = on\n")
 
@@ -328,6 +356,18 @@ class TestTableCommand:
         assert ("-1.0", "True") in flat and ("0.0", "True") in flat and ("0.5", "False") in flat
         sphere = {(r[3], r[4]) for r in rows if r[0] == "1"}
         assert ("0.5", "True") in sphere
+
+    @pytest.mark.parametrize(
+        "grid",
+        [["--k-grid", "1,x"], ["--rho-grid", "1,x"], ["--rho-grid=-1,0,nan"], ["--rho-grid=-1"], ["--rho-grid", "0"],
+         ["--rho-grid", "nan"], ["--rho-grid", "inf"], ["--k-grid", "nan"]],
+        ids=["k-x", "rho-x", "rho-neg-zero-nan", "rho-neg", "rho-zero", "rho-nan", "rho-inf", "k-nan"],
+    )
+    def test_malformed_or_out_of_range_grid_is_config_error(self, capsys, grid):
+        # no verdict is printed for a distance feasible_rate_interval rejects
+        assert main(["table", "feasibility", *grid]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("configuration error: ")
 
     def test_empty_grid_is_config_error(self):
         assert main(["table", "feasibility", "--k-grid", "", "--rho-grid", "1.0"]) == EXIT_CONFIG

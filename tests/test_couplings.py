@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import smallmat as sm
 
+from bmcouple.acceptance import fixed_distance_columns
 from bmcouple.couplings import (
     COUPLED,
     INDEPENDENT,
@@ -10,12 +11,14 @@ from bmcouple.couplings import (
     PatchedCoupling,
     RotationCoupling,
     _cross,
+    _fixed_distance_noise,
+    _rodrigues_apply,
     distance_drift,
     feasible_rate_interval,
     make_strategy,
     rotation_angle_cos,
 )
-from bmcouple.drivers import NoiseStream, StepNoise
+from bmcouple.drivers import NoiseStream, StepNoise, kendall_compose
 from bmcouple.errors import (
     CouplingConstraintError,
     CutLocusError,
@@ -26,6 +29,7 @@ from bmcouple.errors import (
 )
 from bmcouple.simulate import run_paths
 from bmcouple.spaces import ModelSpace, gen_cos, gen_sin
+from bmcouple.verify import convergence_order_fit
 
 S2 = ModelSpace.sphere(2)
 FLAT2 = ModelSpace.euclidean(2)
@@ -171,7 +175,6 @@ class TestExtrinsicPair:
 class TestFixedDistance:
     def test_batched_matrices_match_scalar(self):
         # the map is linear in (gp, ga), so its J and K columns pin it down
-        from bmcouple.acceptance import fixed_distance_columns
         from smallmat import fixed_distance_matrices
 
         x, y = _random_pairs(np.random.default_rng(25), 200)
@@ -183,7 +186,6 @@ class TestFixedDistance:
 
     @staticmethod
     def _oracle_noise(x, y, gp, ga):
-        from bmcouple.drivers import kendall_compose
         from smallmat import fixed_distance_matrices
 
         return np.array(
@@ -194,8 +196,6 @@ class TestFixedDistance:
     def test_noise_map_matches_oracle_near_parallel(self, rho):
         # both sides divide roundoff in y - c x by its norm ~ rho; over 20 seeds
         # of 200 pairs the largest disagreement was 6.8e-16 / rho
-        from bmcouple.couplings import _fixed_distance_noise
-
         rng = np.random.default_rng(28)
         x, _ = _random_pairs(rng, 200)
         t = rng.standard_normal((200, 3))
@@ -215,15 +215,12 @@ class TestFixedDistance:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_noise_map_rejects_parallel_pairs(self, sign):
-        from bmcouple.couplings import _fixed_distance_noise
-
         x, y = _random_pairs(np.random.default_rng(29), 4)
         y[2] = sign * x[2]
         with pytest.raises(DegenerateInputError):
             _fixed_distance_noise(x, y, x, y)
 
     def test_batched_rodrigues_matches_scalar(self):
-        from bmcouple.couplings import _rodrigues_apply
         from smallmat import rodrigues_rotation
 
         rng = np.random.default_rng(26)
@@ -260,8 +257,6 @@ class TestFixedDistance:
             strategy.initial_state(S2.base_point(), -S2.base_point(), 1)
 
     def test_distance_drift_order(self):
-        from bmcouple.verify import convergence_order_fit
-
         strategy = make_strategy("fixed-s2", S2)
         x0, y0 = S2.base_point(), S2.point_at_distance(1.0)
         drifts = []

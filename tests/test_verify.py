@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,21 @@ class TestLaws:
             k4 = law.rhs(value + h * k3)
             value += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert validate_law(law, t_final, n_steps) == worst
+
+    @pytest.mark.parametrize("space", [S2, ModelSpace.euclidean(2), ModelSpace.hyperbolic(2)], ids=["S2", "flat2", "H2"])
+    def test_every_law_a_mismatch_names_is_registered(self, space):
+        # "this space has 'X'" must point at a law id --law accepts on that space
+        x0, y0 = space.base_point(), space.point_at_distance(1.0)
+        named = set()
+        for name in LAWS:
+            try:
+                build_law(name, space, x0, y0, k=0.5)
+            except DomainError as exc:
+                named.update(re.findall(r"this space has '([^']+)'", str(exc)))
+        assert named
+        for name in named:
+            assert name in LAWS
+            assert build_law(name, space, x0, y0, k=0.5).law_id == name
 
     @pytest.mark.parametrize("space", [S2, ModelSpace.euclidean(2), ModelSpace.hyperbolic(2)], ids=["S2", "flat2", "H2"])
     @pytest.mark.parametrize("build, alpha", [(law_synchronous, 0.0), (law_perverse, np.pi)], ids=["sync", "perverse"])
@@ -189,6 +205,16 @@ class TestMarginalCheck:
     def test_bad_coordinate_rejected(self):
         with pytest.raises(DomainError):
             self._check("independent", "Z", (0.25,), 2)
+
+    def test_time_without_a_snapshot_rejected(self):
+        # a record snapshotted at t = 1 alone has no ensemble at 0.25 or 0.5
+        strategy = make_strategy("independent", S2)
+        x0, y0 = S2.base_point(), S2.point_at_distance(1.0)
+        record = run_paths(strategy, x0, y0, h=0.05, t_final=1.0, n_paths=20, seed=4, snapshot_times=(1.0,))
+        assert marginal_check(strategy, x0, y0, record=record, coordinate="X", times=(1.0,))["rows"]
+        for times in ((0.25, 0.5, 1.0), (0.5,), (1.1,)):
+            with pytest.raises(DomainError, match="no snapshot"):
+                marginal_check(strategy, x0, y0, record=record, coordinate="X", times=times)
 
 
 class TestCapHarmonic:
