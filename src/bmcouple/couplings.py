@@ -42,7 +42,9 @@ class CouplingState:
     """Ensemble state of a coupled pair: time, both point arrays (n, ambient),
     per-path regime flags and strategy-owned cache (rebuilt or carried as the
     strategy requires).  Every cache value is a writable array with a leading
-    path axis: the stepping loop gathers and scatters the running paths' rows."""
+    path axis: once paths stop, the stepping loop gathers the running paths'
+    rows into a working state.  A step may return arrays of the state it was
+    given, such as its regime flags, in the new state."""
 
     t: float
     x: np.ndarray
@@ -112,10 +114,10 @@ class CouplingStrategy:
         return {}
 
     def step(self, state: CouplingState, noise: StepNoise, h: float) -> CouplingState:
-        gp = np.atleast_2d(noise.primary)
-        ga = None if noise.auxiliary is None else np.atleast_2d(noise.auxiliary)
-        x, y, cache = self.move(state.x, state.y, gp, ga, h, state.cache)
-        return CouplingState(t=state.t + h, x=x, y=y, regime=state.regime.copy(), cache=cache)
+        """The state after one step; the noise blocks carry a leading path
+        axis.  The regime never changes, so the new state shares its array."""
+        x, y, cache = self.move(state.x, state.y, noise.primary, noise.auxiliary, h, state.cache)
+        return CouplingState(t=state.t + h, x=x, y=y, regime=state.regime, cache=cache)
 
     def move(self, x, y, gp, ga, h, cache):
         raise NotImplementedError
@@ -322,11 +324,12 @@ def _fixed_distance_noise(x: np.ndarray, y: np.ndarray, gp: np.ndarray, ga: np.n
         w = c gp + s ga + lam x,  lam = c (e.ga - x.gp) - s (e.gp + x.ga).
 
     J J' + K K' - I equals O O' - I, which vanishes exactly when x is a unit
-    vector orthogonal to e; that is checked on every call.
+    vector orthogonal to e.  e is orthogonal to x by construction (see
+    ``_aligned_direction``); that x is a unit vector is checked on every call.
     """
     c, e = _aligned_direction(x, y)
     s = np.sqrt(1.0 - c * c)
-    resid = max(float(np.max(np.abs(rowdot(x, x) - 1.0))), float(np.max(np.abs(rowdot(x, e)))))
+    resid = float(np.max(np.abs(rowdot(x, x) - 1.0)))
     if resid > 1e-10:
         raise CouplingConstraintError(f"J J' + K K' deviates from I by {resid:.3e}")
     lam = c * (rowdot(e, ga) - rowdot(x, gp)) - s * (rowdot(e, gp) + rowdot(x, ga))
@@ -692,8 +695,7 @@ class PatchedCoupling(CouplingStrategy):
         return CouplingState(t=0.0, x=x, y=y, regime=regime, cache=cache)
 
     def step(self, state: CouplingState, noise: StepNoise, h: float) -> CouplingState:
-        gp = np.atleast_2d(noise.primary)
-        ga = None if noise.auxiliary is None else np.atleast_2d(noise.auxiliary)
+        gp, ga = noise.primary, noise.auxiliary
         # coupled and free rows together are every row
         x_new = np.empty_like(state.x)
         y_new = np.empty_like(state.y)

@@ -7,6 +7,7 @@ paths are chunked over worker threads.
 
 from __future__ import annotations
 
+import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -78,38 +79,36 @@ def _take(state: CouplingState, rows) -> CouplingState:
     return CouplingState(state.t, state.x[rows], state.y[rows], state.regime[rows], cache)
 
 
-def _put(state: CouplingState, rows, part: CouplingState) -> None:
-    """Write the sub-ensemble ``part`` back into ``state`` at ``rows``."""
-    state.t = part.t
-    state.x[rows] = part.x
-    state.y[rows] = part.y
-    state.regime[rows] = part.regime
-    for key, value in part.cache.items():
-        state.cache[key][rows] = value
+def _put(state: CouplingState, rows, part: CouplingState, sel=slice(None)) -> None:
+    """Write the points and regimes of ``part``'s rows ``sel`` into ``state``
+    at ``rows``: records and snapshots read nothing else."""
+    state.x[rows] = part.x[sel]
+    state.y[rows] = part.y[sel]
+    state.regime[rows] = part.regime[sel]
 
 
 def _crossing_fraction(f_old, f_new):
     return np.where(f_new < 0.0, f_old / np.maximum(f_old - f_new, 1e-300), 1.0)
 
 
-def _stop_at_crossing(space, stop, old: CouplingState, new: CouplingState) -> np.ndarray:
-    """Mask of the paths that left the domain stop >= 0 during this step.
+def _stop_at_crossing(space, stop, old: CouplingState, new: CouplingState, f_old):
+    """Mask of the paths that left the domain stop >= 0 during this step, and
+    the stop values (of X, of Y) at its end; ``f_old`` holds those at its start.
 
     Both points of such a path move back to the linear sub-step crossing, at
     the earlier of the two crossing fractions, projected onto the space.
     """
-    fx_old, fy_old = stop(old.x), stop(old.y)
-    fx_new, fy_new = stop(new.x), stop(new.y)
-    crossed = (fx_new < 0.0) | (fy_new < 0.0)
+    f_new = (stop(new.x), stop(new.y))
+    crossed = (f_new[0] < 0.0) | (f_new[1] < 0.0)
     if crossed.any():
         hit = np.flatnonzero(crossed)
         theta = np.minimum(
-            _crossing_fraction(fx_old[hit], fx_new[hit]),
-            _crossing_fraction(fy_old[hit], fy_new[hit]),
+            _crossing_fraction(f_old[0][hit], f_new[0][hit]),
+            _crossing_fraction(f_old[1][hit], f_new[1][hit]),
         )[:, None]
         new.x[hit] = space.project_point(old.x[hit] + theta * (new.x[hit] - old.x[hit]))
         new.y[hit] = space.project_point(old.y[hit] + theta * (new.y[hit] - old.y[hit]))
-    return crossed
+    return crossed, f_new
 
 
 def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapshot_idx, stop=None):
@@ -119,19 +118,28 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
     a path's first window it is re-keyed to (seed, path id), and a path with
     a later window keeps the stream's state until that window.  So each path
     draws the stream it would draw alone, whatever the chunking.
+
+    While every path runs, the chunk's state is stepped whole.  Once paths
+    stop, a working state holds only the running rows, in order: a step
+    that stops paths writes their stop pairs into the chunk's state and
+    drops them from the working state with one gather.  The working rows are
+    the next window's noise rows, and the working state is written back
+    only at record and snapshot steps.  The stop function is called once
+    per point and step; its values at a step's end serve the next step.
     """
     n = len(path_ids)
     state = strategy.initial_state(x0, y0, n)
-    if stop is not None and ((stop(state.x) < 0.0).any() or (stop(state.y) < 0.0).any()):
-        raise DomainError("start points must lie inside the stop domain")
+    if stop is not None:
+        f = (stop(state.x), stop(state.y))
+        if (f[0] < 0.0).any() or (f[1] < 0.0).any():
+            raise DomainError("start points must lie inside the stop domain")
     p_dim = strategy.primary_dim
     a_dim = strategy.aux_dim
     total = p_dim + a_dim
     keys = stream_keys(seed, path_ids)
     stream = NoiseStream(seed, path_ids[0])
     positions = [None] * n  # each path's stream state between its windows
-    running = np.ones(n, dtype=bool)
-    n_running = n
+    work, rows = state, np.arange(n)  # the running rows of the state, and their rows in it
 
     space = strategy.space
     n_rec = len(record_idx)
@@ -151,6 +159,9 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
             rho[part] = space.chord_distance(chord[part])
             flushed = rec_pos
 
+    def due(step_index):
+        return (rec_pos < n_rec and record_idx[rec_pos] == step_index) or step_index in snapshot_idx
+
     def record(step_index, st):
         nonlocal rec_pos
         if rec_pos < n_rec and record_idx[rec_pos] == step_index:
@@ -165,16 +176,22 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
     record(0, state)
     step = 0
     max_window = max(1, min(NOISE_WINDOW, NOISE_BUDGET // max(1, n * total), n_steps))
-    buffer = np.empty((n, max_window, total))
-    while step < n_steps and n_running:
+    # on pages of its own, given back to the system when the chunk ends: on the heap, a
+    # later run's buffer could miss the hole this one left and add to the peak memory.
+    # On Linux they are private, with the huge-page advice numpy gives large arrays.
+    linux = hasattr(mmap, "MADV_HUGEPAGE")
+    mem = mmap.mmap(-1, n * max_window * total * 8, **({"flags": mmap.MAP_PRIVATE} if linux else {}))
+    if linux:
+        mem.madvise(mmap.MADV_HUGEPAGE)
+    buffer = np.frombuffer(mem).reshape(n, max_window, total)
+    while step < n_steps and rows.size:
         # noise only for the paths still running at the window start, filled
         # in place into the front of the chunk's one buffer by the chunk's
         # one stream, moved from path to path
         window = min(max_window, n_steps - step)
         later = step + window < n_steps
-        live = np.flatnonzero(running)
-        block = buffer[: live.size, :window]
-        for row, pid in enumerate(live):
+        block = buffer[: rows.size, :window]
+        for row, pid in enumerate(rows):
             if step == 0:
                 stream.rekey(keys[pid])
             else:
@@ -182,31 +199,29 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
             stream.standard_normal(out=block[row])
             if later:
                 positions[pid] = stream.state
+        sel = None  # the block rows of the working rows, once paths stop in the window
         for i in range(window):
-            # step only the running rows; skip the gather while all run
-            if n_running == n:
-                sel, rows, sub = slice(None), live, state
-            else:
-                sel = np.flatnonzero(running[live])
-                rows = live[sel]
-                sub = _take(state, rows)
-            noise = StepNoise(
-                primary=block[sel, i, :p_dim],
-                auxiliary=block[sel, i, p_dim:] if a_dim else None,
-            )
-            new = strategy.step(sub, noise, h)
-            ended = None if stop is None else _stop_at_crossing(space, stop, sub, new)
-            if sub is state:
+            drawn = block[:, i] if sel is None else block[sel, i]
+            noise = StepNoise(primary=drawn[:, :p_dim], auxiliary=drawn[:, p_dim:] if a_dim else None)
+            new = strategy.step(work, noise, h)
+            ended = None
+            if stop is not None:
+                ended, f = _stop_at_crossing(space, stop, work, new, f)
+            if work is state:
                 state = new
-            else:
-                _put(state, rows, new)
+            work = new
             step += 1
-            record(step, state)
             if ended is not None and ended.any():
-                running[rows[ended]] = False
-                n_running -= int(np.count_nonzero(ended))
-                if not n_running:
-                    break
+                hit, keep = np.flatnonzero(ended), np.flatnonzero(~ended)
+                if work is not state:
+                    _put(state, rows[hit], work, hit)
+                work, rows, sel = _take(work, keep), rows[keep], keep if sel is None else sel[keep]
+                f = (f[0][keep], f[1][keep])
+            if work is not state and due(step):
+                _put(state, rows, work)
+            record(step, state)
+            if not rows.size:
+                break
         flush()
     # once every path has stopped, later samples repeat the stop points
     for index in range(step + 1, n_steps + 1):
@@ -237,7 +252,9 @@ def run_paths(
     step is past the last one is rejected.  ``stop`` maps an (n, ambient)
     point array to one value per row, negative outside the domain: a path
     stops at the first step after which X or Y is outside, at the sub-step
-    crossing, and keeps that pair in every later sample.  Recorded steps
+    crossing, and keeps that pair in every later sample; it is never stepped
+    again.  ``stop`` sees only the running rows, once per point and step, so
+    it must treat each row alone.  Recorded steps
     keep y - x in a buffer of at most ``RECORD_BUDGET`` doubles, flushed when
     full and at the end of each noise window: one call measures its chords,
     and rho is derived from them.  The records do not depend on the budget.

@@ -10,6 +10,7 @@ from bmcouple.couplings import (
     IndependentCoupling,
     PatchedCoupling,
     RotationCoupling,
+    _aligned_direction,
     _cross,
     _fixed_distance_noise,
     _rodrigues_apply,
@@ -54,7 +55,7 @@ def step_many(strategy, x0, y0, n_paths, h, n_steps, seed=0):
 
 @pytest.mark.parametrize("strategy_id", [*STRATEGIES, "patched"])
 def test_cache_values_carry_a_leading_path_axis(strategy_id):
-    # the stepping loop gathers and scatters the running paths' cache rows
+    # once paths stop, the stepping loop gathers the running paths' cache rows
     space = FLAT2 if strategy_id == "translation" else S2
     if strategy_id == "patched":
         strategy = make_strategy("rotation", S2, k=-1.0, eps=0.2)
@@ -205,6 +206,21 @@ class TestFixedDistance:
         gp, ga = rng.standard_normal((2, 200, 3))
         expected = self._oracle_noise(x, y, gp, ga)
         assert np.max(np.abs(_fixed_distance_noise(x, y, gp, ga) - expected)) < 2e-15 / rho
+
+    @pytest.mark.parametrize("gap", [None, 1e-4, 1e-7, 2e-10], ids=["random", "1e-4", "1e-7", "2e-10"])
+    def test_aligned_direction_is_a_unit_tangent_by_construction(self, gap):
+        # _fixed_distance_noise checks that x is a unit vector, not that e is
+        # orthogonal to it: that must hold by construction, up to |c| = 1 - gap
+        rng = np.random.default_rng(30)
+        x, y = _random_pairs(rng, 2000)
+        if gap is not None:
+            t = y - np.sum(y * x, axis=-1, keepdims=True) * x
+            t /= np.linalg.norm(t, axis=-1, keepdims=True)
+            c = (1.0 - gap) * rng.choice([-1.0, 1.0], size=(2000, 1))
+            y = c * x + np.sqrt(1.0 - c * c) * t
+        _, e = _aligned_direction(x, y)
+        assert np.max(np.abs(np.sum(x * e, axis=-1))) < 1e-12
+        assert np.max(np.abs(np.linalg.norm(e, axis=-1) - 1.0)) < 1e-12
 
     def test_point_off_sphere_violates_constraint(self):
         strategy = make_strategy("fixed-s2", S2)

@@ -5,17 +5,24 @@ and one snapshot.  It compares the last recorded distance row and the
 snapshot points, written as ``float.hex``, and every recorded regime flag
 against ``pinned_records.json``.
 A kernel change that is meant to keep outputs bitwise must keep this test
-passing; one that changes them at roundoff must say so and re-pin with
+passing; one that changes them at roundoff must say so and re-pin the cases
+it moves, by label:
 
-    PYTHONPATH=src python3 tests/test_pinned_records.py
+    PYTHONPATH=src python3 tests/test_pinned_records.py LABEL...
+
+That rewrites (or adds) only the named cases and leaves every other line.
 """
 
+import contextlib
 import json
 import math
 import pathlib
+import sys
+from unittest import mock
 
 import pytest
 
+from bmcouple import simulate
 from bmcouple.couplings import STRATEGIES, make_strategy
 from bmcouple.simulate import run_paths
 from bmcouple.spaces import parse_space
@@ -42,23 +49,34 @@ CASES = {
     "independent": ("sphere:2", "independent", {}, 1.0),
     "independent-hyperbolic2": ("hyperbolic:2", "independent", {}, 1.0),
     "broken-marginal": ("sphere:2", "broken-marginal", {}, 1.0),
+    "fixed-s2-stopped": ("sphere:2", "fixed-s2", {}, 0.3),
 }
+# label: angular radius of a cap about the base point that stops the run.  In
+# noise windows of 4 steps its paths stop at steps 3, 5, 5, 7, 10 and 12, and
+# two never do, so rows stop inside windows and later windows start with fewer.
+STOP_CAPS = {"fixed-s2-stopped": 0.9}
 
 
 def _capture(label: str) -> dict:
     space_text, strategy_id, kwargs, rho0 = CASES[label]
     space = parse_space(space_text)
-    record = run_paths(
-        make_strategy(strategy_id, space, **kwargs),
-        space.base_point(),
-        space.point_at_distance(rho0),
-        h=0.05,
-        t_final=1.0,
-        n_paths=8,
-        seed=2026,
-        record_stride=5,
-        snapshot_times=(0.5,),
-    )
+    stop, window = None, contextlib.nullcontext()
+    if label in STOP_CAPS:
+        level = math.cos(STOP_CAPS[label])
+        stop, window = (lambda p: p[:, 0] - level), mock.patch.object(simulate, "NOISE_WINDOW", 4)
+    with window:
+        record = run_paths(
+            make_strategy(strategy_id, space, **kwargs),
+            space.base_point(),
+            space.point_at_distance(rho0),
+            h=0.05,
+            t_final=1.0,
+            n_paths=8,
+            seed=2026,
+            record_stride=5,
+            snapshot_times=(0.5,),
+            stop=stop,
+        )
     assert len(record.times) == 5
     xs, ys = record.snapshots[0.5]
     hexes = lambda rows: [[float(v).hex() for v in row] for row in rows.tolist()]
@@ -82,5 +100,11 @@ def test_record_is_pinned(label):
 
 
 if __name__ == "__main__":
+    labels = sys.argv[1:]
+    unknown = [label for label in labels if label not in CASES]
+    if not labels or unknown:
+        sys.exit(f"usage: {sys.argv[0]} LABEL...  (unknown: {unknown}; known: {', '.join(CASES)})")
+    pinned = json.loads(PINNED.read_text())
+    pinned.update((label, _capture(label)) for label in labels)
     # one line per case, so that a diff names the cases that moved
-    PINNED.write_text("{\n" + ",\n".join(f"{json.dumps(c)}: {json.dumps(_capture(c))}" for c in CASES) + "\n}\n")
+    PINNED.write_text("{\n" + ",\n".join(f"{json.dumps(c)}: {json.dumps(v)}" for c, v in pinned.items()) + "\n}\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bmcouple import simulate
-from bmcouple.couplings import STRATEGIES, make_strategy
+from bmcouple.couplings import STRATEGIES, FixedDistanceS2, make_strategy
 from bmcouple.drivers import StepNoise
 from bmcouple.errors import DomainError
 from bmcouple.simulate import run_paths
@@ -328,6 +328,26 @@ def test_steps_keep_no_view_of_the_noise(strategy_id):
         state = strategy.step(state, noise, 1e-3)
         arrays = [state.x, state.y, state.regime, *state.cache.values()]
         assert not any(np.shares_memory(a, buffer) for a in arrays)
+
+
+def test_move_sees_only_the_running_rows(monkeypatch):
+    # A path stops at the first step that ends outside the cap, which the
+    # unstopped run shows; after it, no move may see its row.  The stopped
+    # benchmark counts the rows handed to move as path-steps.  Windows of 16
+    # steps make paths stop inside windows and later windows start compacted.
+    monkeypatch.setattr(simulate, "NOISE_WINDOW", 16)
+    n, n_steps = 40, 400
+    free = _cap_run("fixed-s2", n, record_stride=100, snapshot_times=np.arange(n_steps + 1) * 2e-3, stop=None)
+    ends = [free.snapshots[t] for t in sorted(free.snapshots)]
+    outside = np.array([(_cap_stop(xs) < 0.0) | (_cap_stop(ys) < 0.0) for xs, ys in ends])  # (step, path)
+    stop_step = np.where(outside.any(axis=0), outside.argmax(axis=0), n_steps)
+    assert 0 < np.count_nonzero(stop_step < n_steps) < n
+    rows = []
+    move = FixedDistanceS2.move
+    counted = lambda self, x, y, gp, *rest: rows.append(len(gp)) or move(self, x, y, gp, *rest)  # noqa: E731
+    monkeypatch.setattr(FixedDistanceS2, "move", counted)
+    _cap_run("fixed-s2", n)
+    assert rows == [np.count_nonzero(stop_step >= k) for k in range(1, n_steps + 1)]
 
 
 def _crossing(track, k):
