@@ -32,11 +32,9 @@ from .spaces import (
     gen_sin,
     index_form_closed,
     index_form_quadrature,
-    jacobi_coefficients,
     parse_space,
 )
 from .verify import (
-    CheckConfig,
     DistanceLaw,
     convergence_order_fit,
     distance_law_check,

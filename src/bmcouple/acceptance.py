@@ -23,9 +23,9 @@ from .couplings import (
 )
 from .errors import InfeasibleRateError
 from .simulate import run_paths
-from .spaces import ModelSpace, index_form_closed, index_form_quadrature
+from .spaces import ModelSpace, _half_field_index_forms, index_form_closed
 from .verify import (
-    CheckConfig,
+    H_LADDER,
     build_law,
     distance_law_check,
     drift_identity_check,
@@ -147,14 +147,13 @@ def algebra_suite(seed: int = 3001) -> dict:
 def index_form_suite(seed: int = 3002) -> dict:
     curvatures = np.repeat([-1, 0, 1], 13)
     rhos = np.tile(np.linspace(0.1, 2.5, 13), 3)
-    q11 = index_form_quadrature(curvatures, rhos, (1.0, 0.0))
-    q22 = index_form_quadrature(curvatures, rhos, (0.0, 1.0))
+    q11, q22, _ = _half_field_index_forms(curvatures, rhos)
     worst_cmp = 0.0
     for r, rho, b11, b22 in zip(curvatures.tolist(), rhos, q11, q22):
         closed = index_form_closed(r, rho)
         for a, b in ((closed.i11, b11), (closed.i22, b22)):
             worst_cmp = max(worst_cmp, abs(a - b) / max(1.0, abs(a)))
-    lemma = field_index_form_check(n_cases=100, seed=seed)
+    lemma = field_index_form_check(seed=seed)
     drift = drift_identity_check()
     lines = [
         _line(
@@ -217,15 +216,14 @@ _LAW_RUNS = (
 
 def distance_law_suite(n_paths: int = 200, seed: int = 3004) -> dict:
     """Each row's ensemble mean against its law, from rho0 = 1 over the step
-    ladder of ``CheckConfig``."""
+    ladder ``H_LADDER``."""
     lines = []
     reports = []
     for strategy_id, space, params, law_id, horizon in _LAW_RUNS:
         strategy = make_strategy(strategy_id, space, **params)
         x0, y0 = _start_pair(space)
         law = build_law(law_id, space, x0, y0, params.get("k"))
-        config = CheckConfig(t_final=horizon, n_paths=n_paths, seed=seed)
-        report = distance_law_check(strategy, x0, y0, law, config)
+        report = distance_law_check(strategy, x0, y0, law, t_final=horizon, n_paths=n_paths, seed=seed)
         reports.append(report)
         lines.append(
             _line(
@@ -233,7 +231,7 @@ def distance_law_suite(n_paths: int = 200, seed: int = 3004) -> dict:
                 report["pass"],
                 f"mean-chain err {report['sup_err'][-1]:.4f} order {report['fitted_order']:.2f}; "
                 f"per-path chain err {report['mae_sup'][-1]:.4f} "
-                f"order {report['fitted_order_mae']:.2f} at h={config.h_ladder[-1]:g}",
+                f"order {report['fitted_order_mae']:.2f} at h={H_LADDER[-1]:g}",
             )
         )
     out = _suite("distance-laws", lines)
@@ -250,14 +248,13 @@ def consistency_suite(n_paths: int = 200, seed: int = 3005) -> dict:
     from rho0 = 1."""
     x0, y0 = _start_pair(_S2)
     law = build_law("sphere-synchronous", _S2, x0, y0)
-    config = CheckConfig(t_final=3.0, n_paths=n_paths, seed=seed)
     lines = []
     for strategy_id, params in (
         ("extrinsic-contract-s2", {}),
         ("rotation", {"alpha_override": 0.0}),
     ):
         strategy = make_strategy(strategy_id, _S2, **params)
-        report = distance_law_check(strategy, x0, y0, law, config)
+        report = distance_law_check(strategy, x0, y0, law, t_final=3.0, n_paths=n_paths, seed=seed)
         lines.append(
             _line(
                 f"{strategy_id} matches {law.law_id}",

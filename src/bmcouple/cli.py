@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .acceptance import SUITES
-from .couplings import make_strategy, rotation_angle_cos
+from .couplings import FEASIBLE_COS_TOL, make_strategy, rotation_angle_cos
 from .errors import (
     ConjugatePointError,
     CouplingConstraintError,
@@ -40,7 +40,7 @@ EXIT_INFEASIBLE = 3
 
 @dataclass
 class SimConfig:
-    """Validated simulation configuration; renders to and parses from key=value text."""
+    """Validated simulation configuration; parses from key=value text."""
 
     space: str = "sphere:2"
     strategy: str = "fixed-s2"
@@ -58,14 +58,6 @@ class SimConfig:
     threads: int | None = None  # None: run_paths picks one per PATHS_PER_THREAD paths, up to the CPU count
     law: str | None = None
     out: str | None = None
-
-    def render(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None:
-                lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def parse(cls, text: str) -> "SimConfig":
@@ -218,7 +210,7 @@ def cmd_table(args) -> int:
                                 "dim": d,
                                 "rho": rho,
                                 "k": k,
-                                "feasible": bool(abs(cos_alpha) <= 1.0),
+                                "feasible": bool(abs(cos_alpha) <= 1.0 + FEASIBLE_COS_TOL),
                             }
                         )
         columns = ["curvature", "dim", "rho", "k", "feasible"]

@@ -35,26 +35,24 @@ COUPLED = 0
 INDEPENDENT = 1
 
 MEET_TOL = 1e-12
+# A rate is feasible at a distance where |cos alpha| <= 1 + FEASIBLE_COS_TOL:
+# the slack takes the roundoff of cos alpha at the ends of the feasible interval.
+FEASIBLE_COS_TOL = 1e-12
 
 
 @dataclass
 class CouplingState:
-    """Ensemble state of a coupled pair: time, both point arrays (n, ambient),
+    """Ensemble state of a coupled pair: both point arrays (n, ambient),
     per-path regime flags and strategy-owned cache (rebuilt or carried as the
     strategy requires).  Every cache value is a writable array with a leading
     path axis: once paths stop, the stepping loop gathers the running paths'
     rows into a working state.  A step may return arrays of the state it was
     given, such as its regime flags, in the new state."""
 
-    t: float
     x: np.ndarray
     y: np.ndarray
     regime: np.ndarray
     cache: dict = field(default_factory=dict)
-
-    @property
-    def n_paths(self) -> int:
-        return self.x.shape[0]
 
 
 def _ensemble(point, n_paths: int) -> np.ndarray:
@@ -98,7 +96,7 @@ class CouplingStrategy:
         x, y = self._start_points(x0, y0, n_paths)
         self.validate_start(x, y)
         regime = np.zeros(n_paths, dtype=np.int8)
-        return CouplingState(t=0.0, x=x, y=y, regime=regime, cache=self.init_cache(x, y))
+        return CouplingState(x=x, y=y, regime=regime, cache=self.init_cache(x, y))
 
     def validate_start(self, x, y) -> None:
         pass
@@ -117,7 +115,7 @@ class CouplingStrategy:
         """The state after one step; the noise blocks carry a leading path
         axis.  The regime never changes, so the new state shares its array."""
         x, y, cache = self.move(state.x, state.y, noise.primary, noise.auxiliary, h, state.cache)
-        return CouplingState(t=state.t + h, x=x, y=y, regime=state.regime, cache=cache)
+        return CouplingState(x=x, y=y, regime=state.regime, cache=cache)
 
     def move(self, x, y, gp, ga, h, cache):
         raise NotImplementedError
@@ -582,7 +580,7 @@ class RotationCoupling(CouplingStrategy):
         if self.alpha_override is not None:
             return np.full_like(np.asarray(rho, float), float(self.alpha_override))
         cos_alpha = rotation_angle_cos(self.space, self.k, rho)
-        if (np.abs(cos_alpha) > 1.0 + 1e-12).any():
+        if (np.abs(cos_alpha) > 1.0 + FEASIBLE_COS_TOL).any():
             worst = float(np.max(np.abs(cos_alpha)))
             raise InfeasibleRateError(
                 f"rate k={self.k} infeasible at distance "
@@ -692,7 +690,7 @@ class PatchedCoupling(CouplingStrategy):
             sel = regime == COUPLED
             self.inner.validate_start(x[sel], y[sel])
         cache = self.inner.init_cache(x, y)
-        return CouplingState(t=0.0, x=x, y=y, regime=regime, cache=cache)
+        return CouplingState(x=x, y=y, regime=regime, cache=cache)
 
     def step(self, state: CouplingState, noise: StepNoise, h: float) -> CouplingState:
         gp, ga = noise.primary, noise.auxiliary
@@ -717,7 +715,7 @@ class PatchedCoupling(CouplingStrategy):
         regime = state.regime.copy()
         regime[coupled & self._independent_zone(rho)] = INDEPENDENT
         regime[free & self._coupled_zone(rho)] = COUPLED
-        return CouplingState(t=state.t + h, x=x_new, y=y_new, regime=regime, cache=cache)
+        return CouplingState(x=x_new, y=y_new, regime=regime, cache=cache)
 
 
 # -- registry -------------------------------------------------------------------------

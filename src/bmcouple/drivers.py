@@ -117,26 +117,14 @@ def _exp_step(space: ModelSpace, x, tangent) -> np.ndarray:
     return space._exp_length(x, tangent, lengths)
 
 
-def kendall_compose(j, k, db, dc) -> np.ndarray:
-    """Driver increment J dB + K dC of the composed coupling representation.
-
-    J and K are (..., d, d) matrices, or arrays with one axis fewer than dB
-    whose entries stand for those multiples of the identity (the mixing
-    c dB + s dC of two independent drivers).  They may carry leading batch
-    axes; the pair must satisfy J J' + K K' = I within 1e-10.
-    """
-    j = np.asarray(j, float)
-    k = np.asarray(k, float)
-    db = np.asarray(db, float)
-    dc = np.asarray(dc, float)
-    if j.ndim < db.ndim:
-        resid = np.max(np.abs(j * j + k * k - 1.0))
-        out = j[..., None] * db + k[..., None] * dc
-    else:
-        gram = np.einsum("...ij,...kj->...ik", j, j) + np.einsum("...ij,...kj->...ik", k, k)
-        resid = np.max(np.abs(gram - np.eye(j.shape[-1])))
-        out = np.einsum("...ij,...j->...i", j, db) + np.einsum("...ij,...j->...i", k, dc)
+def kendall_compose(c, s, db, dc) -> np.ndarray:
+    """Driver increment c dB + s dC of the composed coupling representation:
+    J dB + K dC with J = c I and K = s I.  c and s carry one weight per row
+    of dB and dC (one axis fewer); the weights must satisfy c^2 + s^2 = 1
+    within 1e-10."""
+    c = np.asarray(c, float)
+    s = np.asarray(s, float)
+    resid = np.max(np.abs(c * c + s * s - 1.0))
     if resid > 1e-10:
         raise CouplingConstraintError(f"J J' + K K' deviates from I by {resid:.3e}")
-    return out
-
+    return c[..., None] * np.asarray(db, float) + s[..., None] * np.asarray(dc, float)

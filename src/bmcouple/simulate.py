@@ -76,7 +76,7 @@ def _chunk_ranges(n_paths: int, n_chunks: int):
 def _take(state: CouplingState, rows) -> CouplingState:
     """The sub-ensemble of the given rows (cache values carry a path axis)."""
     cache = {key: value[rows] for key, value in state.cache.items()}
-    return CouplingState(state.t, state.x[rows], state.y[rows], state.regime[rows], cache)
+    return CouplingState(state.x[rows], state.y[rows], state.regime[rows], cache)
 
 
 def _put(state: CouplingState, rows, part: CouplingState, sel=slice(None)) -> None:

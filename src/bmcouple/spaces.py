@@ -382,19 +382,6 @@ def _check_geodesic_length(curvature, rho) -> None:
         raise ConjugatePointError(f"length {np.max(rho[conjugate])} reaches the first conjugate point at pi")
 
 
-def jacobi_coefficients(curvature: int, rho: float, s) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar coefficients (w1, w2) of the perpendicular Jacobi field with
-    boundary values 1 at s=0, 0 at s=rho (w1) and 0 at s=0, 1 at s=rho (w2)."""
-    _check_geodesic_length(curvature, rho)
-    s = np.asarray(s, float)
-    if np.any(s < -1e-15) or np.any(s > rho + 1e-15):
-        raise DomainError("parameter s must lie in [0, rho]")
-    denom = gen_sin(curvature, rho)
-    w1 = gen_sin(curvature, rho - s) / denom
-    w2 = gen_sin(curvature, s) / denom
-    return w1, w2
-
-
 @dataclass(frozen=True)
 class IndexFormValues:
     """Second-variation boundary data of the half-Jacobi fields along a geodesic.

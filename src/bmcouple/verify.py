@@ -194,10 +194,12 @@ def build_law(name: str, space: ModelSpace, x0, y0, k: float | None = None) -> D
     return law
 
 
-def validate_law(law: DistanceLaw, t_final: float, n_steps: int = 20000) -> float:
-    """Integrate the law's defining ODE with Runge-Kutta and return the max
-    relative deviation from the closed form on the grid.  The closed form is
-    evaluated once on the whole grid; the RK4 loop steps the scalar ``rhs``."""
+def validate_law(law: DistanceLaw, t_final: float) -> float:
+    """Integrate the law's defining ODE with Runge-Kutta over 20 000 steps and
+    return the max relative deviation from the closed form on the grid.  The
+    closed form is evaluated once on the whole grid; the RK4 loop steps the
+    scalar ``rhs``."""
+    n_steps = 20000
     h = t_final / n_steps
     values = np.empty(n_steps + 1)
     value = law.initial
@@ -230,12 +232,8 @@ def law_sup_error(law: DistanceLaw, record) -> float:
     return float(np.max(np.abs(np.mean(_observed(law, record), axis=1) - law.evaluate(record.times))))
 
 
-@dataclass
-class CheckConfig:
-    h_ladder: tuple = (4e-3, 2e-3, 1e-3, 5e-4)
-    t_final: float = 1.0
-    n_paths: int = 200
-    seed: int = 20240
+# Step sizes of every distance-law check, coarsest first.
+H_LADDER = (4e-3, 2e-3, 1e-3, 5e-4)
 
 
 def convergence_order_fit(pairs) -> float:
@@ -250,9 +248,9 @@ def convergence_order_fit(pairs) -> float:
 
 
 def distance_law_check(
-    strategy: CouplingStrategy, x0, y0, law: DistanceLaw, config: CheckConfig
+    strategy: CouplingStrategy, x0, y0, law: DistanceLaw, *, t_final: float, n_paths: int, seed: int
 ) -> dict:
-    """Simulate over the step-size ladder and compare against the law.
+    """Simulate over the step-size ladder ``H_LADDER`` and compare against the law.
 
     The gating error per ladder point is the sup over sample times of the
     absolute deviation of the ensemble-mean observable from the law (the
@@ -261,28 +259,20 @@ def distance_law_check(
     one).  Per-path sup deviations are reported as diagnostics.  The law
     itself is first validated against its ODE oracle.
     """
-    oracle_err = validate_law(law, config.t_final)
+    oracle_err = validate_law(law, t_final)
     if oracle_err > 1e-8:
         raise DomainError(f"law {law.law_id} fails its ODE oracle (rel err {oracle_err:.3e})")
     sup_err = []
     mae_sup = []
     path_sup_mean = []
-    for h in config.h_ladder:
-        record = run_paths(
-            strategy,
-            x0,
-            y0,
-            h=h,
-            t_final=config.t_final,
-            n_paths=config.n_paths,
-            seed=config.seed,
-        )
+    for h in H_LADDER:
+        record = run_paths(strategy, x0, y0, h=h, t_final=t_final, n_paths=n_paths, seed=seed)
         abs_err = np.abs(_observed(law, record) - law.evaluate(record.times)[:, None])
         sup_err.append(law_sup_error(law, record))
         mae_sup.append(float(np.max(np.mean(abs_err, axis=1))))
         path_sup_mean.append(float(np.mean(np.max(abs_err, axis=0))))
-    order = convergence_order_fit(list(zip(config.h_ladder, sup_err)))
-    order_mae = convergence_order_fit(list(zip(config.h_ladder, mae_sup)))
+    order = convergence_order_fit(list(zip(H_LADDER, sup_err)))
+    order_mae = convergence_order_fit(list(zip(H_LADDER, mae_sup)))
 
     # A run passes if one error notion satisfies tolerance and order together.
     # The ensemble-mean chain isolates the weak discretization error; for
@@ -296,8 +286,8 @@ def distance_law_check(
     return {
         "strategy": strategy.strategy_id,
         "law": law.law_id,
-        "n_paths": config.n_paths,
-        "h_ladder": list(config.h_ladder),
+        "n_paths": n_paths,
+        "h_ladder": list(H_LADDER),
         "sup_err": sup_err,
         "mae_sup": mae_sup,
         "path_sup_mean": path_sup_mean,
@@ -332,13 +322,16 @@ def marginal_check(
     the first (at most three) ambient axes v, from the snapshots at ``times``
     of a record of the strategy run from (x0, y0); one record serves both
     coordinates.  Each time needs the snapshot ``run_paths`` keys at the step
-    nearest it; a time without one is rejected."""
+    nearest it; a time without one is rejected, and so is a record of fewer
+    than 2 paths, which has no standard error."""
     if coordinate not in ("X", "Y"):
         raise DomainError("coordinate must be 'X' or 'Y'")
+    n_paths = record.n_paths
+    if n_paths < 2:
+        raise DomainError(f"a marginal check needs at least 2 paths, got {n_paths}")
     space = strategy.space
     start = np.asarray(x0 if coordinate == "X" else y0, float)
     directions = np.eye(space.ambient_dim)[: min(3, space.ambient_dim)]
-    n_paths = record.n_paths
     rows = []
     for t in times:
         key = round(t / record.h) * record.h
@@ -366,25 +359,20 @@ def marginal_check(
 # -- drift identity ----------------------------------------------------------------
 
 
-def drift_identity_check(
-    curvatures=(-1, 0, 1),
-    dims=(2, 3, 5),
-    alpha_grid=None,
-    rho_grid=None,
-    quad_steps: int = 2048,
-) -> dict:
+def drift_identity_check() -> dict:
     """Compare the closed distance drift (d-1)(gc - cos a)/gs with half the
-    index-form sum assembled from quadrature values of the half-Jacobi fields.
+    index-form sum assembled from quadrature values of the half-Jacobi fields,
+    on every model space of dimension 2, 3 and 5, at 13 distances in
+    [0.1, 2.5] and 5 angles in [0, pi].
 
     Also checks the synchronous closed form -(d-1) gc' tan-type expression and
     the flat perverse drift 2(d-1)/rho.
     """
-    if alpha_grid is None:
-        alpha_grid = [i * np.pi / 4.0 for i in range(5)]
-    if rho_grid is None:
-        rho_grid = list(np.linspace(0.1, 2.5, 13))
-    cases = [(r, rho) for r in curvatures for rho in rho_grid if not (r == 1 and rho >= np.pi)]
-    forms = _half_field_index_forms(*np.array(cases, float).reshape(-1, 2).T, quad_steps)
+    dims = (2, 3, 5)
+    alpha_grid = [i * np.pi / 4.0 for i in range(5)]
+    rho_grid = list(np.linspace(0.1, 2.5, 13))
+    cases = [(r, rho) for r in (-1, 0, 1) for rho in rho_grid]
+    forms = _half_field_index_forms(*np.array(cases, float).T, 2048)
     worst = 0.0
     rows = []
     for (r, rho), i11, i22, i12 in zip(cases, *forms):
@@ -422,13 +410,14 @@ def drift_identity_check(
     }
 
 
-def field_index_form_check(n_cases: int = 100, seed: int = 42) -> dict:
-    """Random-case check that the Jacobi field minimizes the index form among
-    perpendicular fields with the same boundary values.
+def field_index_form_check(seed: int = 42) -> dict:
+    """Check on 100 random cases that the Jacobi field minimizes the index
+    form among perpendicular fields with the same boundary values.
 
     Competitors are the linear interpolant of the boundary values plus random
     sine bumps vanishing at both ends.
     """
+    n_cases = 100
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(n_cases):
@@ -523,6 +512,8 @@ def max_principle_demo(
         raise DomainError("cap must be strictly smaller than a hemisphere")
     if n_harmonic < 1:
         raise DomainError("the demo needs a non-constant harmonic (n >= 1)")
+    if n_paths < 2:
+        raise DomainError(f"the demo's standard errors need at least 2 paths, got {n_paths}")
     space = ModelSpace.sphere(2)
     strategy = make_strategy("fixed-s2", space)
     u, grad = cap_harmonic(n_harmonic)

@@ -6,8 +6,9 @@ import pytest
 
 from bmcouple import simulate
 from bmcouple.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, SimConfig, main
-from bmcouple.couplings import RotationCoupling
-from bmcouple.errors import DomainError
+from bmcouple.couplings import RotationCoupling, feasible_rate_interval
+from bmcouple.errors import DomainError, InfeasibleRateError
+from bmcouple.spaces import ModelSpace
 from bmcouple.verify import LAW_TOL, REPORT_KEYS
 
 
@@ -305,12 +306,15 @@ class TestSimulate:
 
 
 class TestSimConfigRoundTrip:
-    def test_parse_render_identity(self):
-        config = SimConfig(
+    def test_parse_casts_each_key(self):
+        text = (
+            "space = hyperbolic:3\nstrategy = rotation\nrho0 = 0.5\nk = -2.5\nh = 0.002\n"
+            "t_final = 2.0\npaths = 17\nseed = 3\nrecord_stride = 5\nthreads = 2\n"
+        )
+        assert SimConfig.parse(text) == SimConfig(
             space="hyperbolic:3", strategy="rotation", rho0=0.5, k=-2.5,
             h=2e-3, t_final=2.0, paths=17, seed=3, record_stride=5, threads=2,
         )
-        assert SimConfig.parse(config.render()) == config
 
     def test_comments_and_blanks_ignored(self):
         text = "# a comment\n\nspace = flat:2\npaths = 9\n"
@@ -356,6 +360,31 @@ class TestTableCommand:
         assert ("-1.0", "True") in flat and ("0.0", "True") in flat and ("0.5", "False") in flat
         sphere = {(r[3], r[4]) for r in rows if r[0] == "1"}
         assert ("0.5", "True") in sphere
+
+    def test_feasibility_table_agrees_with_the_coupling_at_the_interval_ends(self, capsys):
+        # the table's verdict is the coupling's: at both ends of
+        # feasible_rate_interval, where |cos alpha| is 1 up to roundoff
+        spaces = [ModelSpace(r, d) for r in (-1, 0, 1) for d in (2, 3)]
+        disagree = []
+        for rho in np.linspace(0.05, 3.0, 300).tolist():
+            ends = {(s.curvature, s.dim): feasible_rate_interval(s, rho) for s in spaces}
+            k_grid = ",".join(repr(k) for pair in ends.values() for k in pair)
+            assert main(["table", "feasibility", f"--k-grid={k_grid}", f"--rho-grid={rho!r}"]) == EXIT_OK
+            for row in capsys.readouterr().out.strip().split("\n")[1:]:
+                r, d, _, k, verdict = row.split(",")
+                space = ModelSpace(int(r), int(d))
+                if float(k) not in ends[(space.curvature, space.dim)]:
+                    continue
+                try:
+                    RotationCoupling(space, k=float(k)).initial_state(
+                        space.base_point(), space.point_at_distance(rho)
+                    )
+                    starts = True
+                except InfeasibleRateError:
+                    starts = False
+                if (verdict == "True") != starts:
+                    disagree.append(row)
+        assert disagree == []
 
     @pytest.mark.parametrize(
         "grid",

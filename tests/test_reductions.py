@@ -105,10 +105,8 @@ def _einsum_calls(tree) -> list:
 
 def test_stepping_path_has_no_einsum():
     """Row dots go through ``rowdot``, which adds in einsum's order without
-    einsum on big batches.  drivers.py keeps einsum for kendall_compose's
-    matrices."""
-    trees = _stepping_path_trees()
-    found = {name: _einsum_calls(trees[name]) for name in ("couplings.py", "simulate.py", "spaces.ModelSpace")}
+    einsum on big batches."""
+    found = {name: _einsum_calls(tree) for name, tree in _stepping_path_trees().items()}
     assert found == {name: [] for name in found}
 
 

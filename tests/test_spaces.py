@@ -11,7 +11,6 @@ from bmcouple.spaces import (
     gen_sin,
     index_form_closed,
     index_form_quadrature,
-    jacobi_coefficients,
     parse_space,
 )
 from smallmat import random_point
@@ -164,28 +163,6 @@ class TestParallelTransport:
             if space.curvature != 0:
                 scale = max(1.0, float(np.max(np.abs(q))))
                 assert np.abs(space.metric_dot(q, tv)) < 1e-9 * scale
-
-
-class TestJacobiCoefficients:
-    def test_flat_values(self):
-        w1, w2 = jacobi_coefficients(0, 2.0, 0.5)
-        assert (w1, w2) == (0.75, 0.25)
-
-    def test_sphere_values(self):
-        w1, w2 = jacobi_coefficients(1, np.pi / 2, np.pi / 4)
-        assert w1 == pytest.approx(np.sqrt(2) / 2, abs=1e-14)
-        assert w2 == pytest.approx(np.sqrt(2) / 2, abs=1e-14)
-
-    @pytest.mark.parametrize("r", [-1, 0, 1])
-    def test_boundary_values(self, r):
-        rho = 1.7
-        w1, w2 = jacobi_coefficients(r, rho, np.array([0.0, rho]))
-        assert np.allclose(w1, [1.0, 0.0], atol=1e-15)
-        assert np.allclose(w2, [0.0, 1.0], atol=1e-15)
-
-    def test_conjugate_point_rejected(self):
-        with pytest.raises(ConjugatePointError):
-            jacobi_coefficients(1, np.pi, 0.5)
 
 
 class TestIndexForms:

@@ -9,7 +9,6 @@ from bmcouple.errors import DomainError
 from bmcouple.simulate import run_paths
 from bmcouple.spaces import ModelSpace
 from bmcouple.verify import (
-    CheckConfig,
     cap_gradient_norm,
     cap_harmonic,
     convergence_order_fit,
@@ -57,7 +56,7 @@ class TestLaws:
         kind = name.split("-")[0]
         space = {"hyperbolic": ModelSpace.hyperbolic(3), "flat": ModelSpace.euclidean(2)}.get(kind, S2)
         law = build_law(name, space, space.base_point(), space.point_at_distance(1.0), k=0.8)
-        t_final, n_steps = 2.0, 2000
+        t_final, n_steps = 2.0, 20000
         h = t_final / n_steps
         value, worst = law.initial, 0.0
         for i in range(n_steps + 1):
@@ -70,7 +69,7 @@ class TestLaws:
             k3 = law.rhs(value + 0.5 * h * k2)
             k4 = law.rhs(value + h * k3)
             value += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert validate_law(law, t_final, n_steps) == worst
+        assert validate_law(law, t_final) == worst
 
     @pytest.mark.parametrize("space", [S2, ModelSpace.euclidean(2), ModelSpace.hyperbolic(2)], ids=["S2", "flat2", "H2"])
     def test_every_law_a_mismatch_names_is_registered(self, space):
@@ -145,18 +144,17 @@ class TestDistanceLawCheck:
     def test_translation_is_exact(self):
         flat = ModelSpace.euclidean(2)
         strategy = make_strategy("translation", flat)
-        config = CheckConfig(h_ladder=(4e-3, 2e-3, 1e-3), t_final=0.5, n_paths=20, seed=3)
         report = distance_law_check(
-            strategy, flat.base_point(), flat.point_at_distance(1.0), law_fixed(1.0), config
+            strategy, flat.base_point(), flat.point_at_distance(1.0), law_fixed(1.0), t_final=0.5, n_paths=20, seed=3
         )
         assert max(report["sup_err"]) < 1e-12
         assert report["pass"] is True
 
     def test_report_schema_and_determinism(self):
         strategy = make_strategy("fixed-s2", S2)
-        config = CheckConfig(h_ladder=(8e-3, 4e-3, 2e-3), t_final=0.25, n_paths=40, seed=9)
-        a = distance_law_check(strategy, S2.base_point(), S2.point_at_distance(1.0), law_fixed(1.0), config)
-        b = distance_law_check(strategy, S2.base_point(), S2.point_at_distance(1.0), law_fixed(1.0), config)
+        run = dict(t_final=0.25, n_paths=40, seed=9)
+        a = distance_law_check(strategy, S2.base_point(), S2.point_at_distance(1.0), law_fixed(1.0), **run)
+        b = distance_law_check(strategy, S2.base_point(), S2.point_at_distance(1.0), law_fixed(1.0), **run)
         assert report_json(a) == report_json(b)
         parsed = json.loads(report_json(a))
         assert set(parsed) == {
@@ -166,9 +164,8 @@ class TestDistanceLawCheck:
 
 class TestDriftIdentity:
     def test_small_grid(self):
-        report = drift_identity_check(
-            curvatures=(-1, 0, 1), dims=(2, 3), rho_grid=[0.3, 1.0, 2.2], quad_steps=1024
-        )
+        # the check's whole grid, 585 cases, takes under a tenth of a second
+        report = drift_identity_check()
         assert report["max_rel_err"] < 1e-6
         assert report["special_identity_err"] < 1e-9
         assert report["pass"]
@@ -176,7 +173,7 @@ class TestDriftIdentity:
 
 class TestIndexLemmaCheck:
     def test_jacobi_always_below_competitors(self):
-        report = field_index_form_check(n_cases=50, seed=1)
+        report = field_index_form_check(seed=1)
         assert report["pass"]
         assert report["worst_margin"] > -1e-9
 
@@ -205,6 +202,14 @@ class TestMarginalCheck:
     def test_bad_coordinate_rejected(self):
         with pytest.raises(DomainError):
             self._check("independent", "Z", (0.25,), 2)
+
+    def test_one_path_rejected(self):
+        # one path has no standard error: no z-score is reported for it
+        strategy = make_strategy("independent", S2)
+        x0, y0 = S2.base_point(), S2.point_at_distance(1.0)
+        record = run_paths(strategy, x0, y0, h=0.05, t_final=0.5, n_paths=1, seed=4, snapshot_times=(0.5,))
+        with pytest.raises(DomainError, match="at least 2 paths"):
+            marginal_check(strategy, x0, y0, record=record, coordinate="X", times=(0.5,))
 
     def test_time_without_a_snapshot_rejected(self):
         # a record snapshotted at t = 1 alone has no ensemble at 0.25 or 0.5
@@ -273,6 +278,9 @@ class TestCapHarmonic:
             max_principle_demo(2.0, 1, n_paths=10)
         with pytest.raises(DomainError):
             max_principle_demo(0.8, 0, n_paths=10)
+        # one path has no standard error: no z-score is reported for it
+        with pytest.raises(DomainError, match="at least 2 paths"):
+            max_principle_demo(0.8, 1, n_paths=1)
 
     def test_demo_report_is_pinned(self):
         # float.hex of the report the demo gave with its former stand-alone
