@@ -111,9 +111,11 @@ class CouplingStrategy:
     def init_cache(self, x, y) -> dict:
         return {}
 
-    def step(self, state: CouplingState, noise: StepNoise, h: float) -> CouplingState:
+    def step(self, state: CouplingState, noise: StepNoise, h) -> CouplingState:
         """The state after one step; the noise blocks carry a leading path
-        axis.  The regime never changes, so the new state shares its array."""
+        axis, and ``h`` is one step size or a (rows, 1) column of them, which
+        every ``move`` broadcasts.  The regime never changes, so the new
+        state shares its array."""
         x, y, cache = self.move(state.x, state.y, noise.primary, noise.auxiliary, h, state.cache)
         return CouplingState(x=x, y=y, regime=state.regime, cache=cache)
 
@@ -628,7 +630,12 @@ class BrokenMarginalS2(Sphere2Strategy):
     _skew = np.array([[1.0, 1.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
     def move(self, x, y, gp, ga, h, cache):
-        return stroock_step(x, gp, h), stroock_step(y, gp @ self._skew.T, h), cache
+        # numpy multiplies a lone row by a matrix-vector kernel, which rounds
+        # otherwise than its matrix product of 2 or more rows: padded to 2
+        # rows, a row's bits do not depend on its batch
+        n = len(gp)
+        padded = gp if n > 1 else np.concatenate((gp, np.zeros((1, 3))))
+        return stroock_step(x, gp, h), stroock_step(y, (padded @ self._skew.T)[:n], h), cache
 
 
 # -- patching regime machine ----------------------------------------------------------
@@ -692,25 +699,27 @@ class PatchedCoupling(CouplingStrategy):
         cache = self.inner.init_cache(x, y)
         return CouplingState(x=x, y=y, regime=regime, cache=cache)
 
-    def step(self, state: CouplingState, noise: StepNoise, h: float) -> CouplingState:
+    def step(self, state: CouplingState, noise: StepNoise, h) -> CouplingState:
         gp, ga = noise.primary, noise.auxiliary
         # coupled and free rows together are every row
         x_new = np.empty_like(state.x)
         y_new = np.empty_like(state.y)
         coupled = state.regime == COUPLED
+        free = ~coupled
+        # each regime gets its rows of a step-size column
+        h_coupled, h_free = (h, h) if np.ndim(h) == 0 else (h[coupled], h[free])
         cache = state.cache
         if coupled.any():
             sub_ga = None if ga is None else ga[coupled]
             xc, yc, cache = self.inner.move(
-                state.x[coupled], state.y[coupled], gp[coupled], sub_ga, h, cache
+                state.x[coupled], state.y[coupled], gp[coupled], sub_ga, h_coupled, cache
             )
             x_new[coupled] = xc
             y_new[coupled] = yc
-        free = ~coupled
         if free.any():
             nd = self.inner.indep_dim
-            x_new[free] = self.inner.independent_move(state.x[free], gp[free, :nd], h)
-            y_new[free] = self.inner.independent_move(state.y[free], ga[free, :nd], h)
+            x_new[free] = self.inner.independent_move(state.x[free], gp[free, :nd], h_free)
+            y_new[free] = self.inner.independent_move(state.y[free], ga[free, :nd], h_free)
         rho = self.space.distance(x_new, y_new)
         regime = state.regime.copy()
         regime[coupled & self._independent_zone(rho)] = INDEPENDENT

@@ -72,11 +72,19 @@ class StepNoise:
 # -- one-step integrators -----------------------------------------------------
 
 
-def stroock_step(x, noise, h: float) -> np.ndarray:
+def _check_step_size(h) -> None:
+    """Reject a non-positive step size: one float, or a (rows, 1) column of
+    them, one per row of the points it moves."""
+    bad = h <= 0.0
+    if bad if isinstance(bad, bool) else bad.any():
+        raise DomainError(f"step size must be positive, got {np.min(h)}")
+
+
+def stroock_step(x, noise, h) -> np.ndarray:
     """One projected Euler step of the ambient sphere SDE
-    dX = (I - X X') dB - X dt, renormalized back onto the unit sphere."""
-    if h <= 0.0:
-        raise DomainError(f"step size must be positive, got {h}")
+    dX = (I - X X') dB - X dt, renormalized back onto the unit sphere; ``h``
+    is one step size or a (rows, 1) column of them."""
+    _check_step_size(h)
     x = np.asarray(x, float)
     noise = np.asarray(noise, float)
     scaled = np.sqrt(h) * noise
@@ -85,12 +93,11 @@ def stroock_step(x, noise, h: float) -> np.ndarray:
     return out / np.sqrt(rowsum(out * out))[..., None]
 
 
-def geodesic_walk_step(space: ModelSpace, x, noise, h: float) -> np.ndarray:
+def geodesic_walk_step(space: ModelSpace, x, noise, h) -> np.ndarray:
     """Geodesic random-walk step: exponential of sqrt(h) * sum_i noise_i b_i
     over the reference frame b at x (``ModelSpace.frame_apply``); ``noise``
-    has shape (..., d)."""
-    if h <= 0.0:
-        raise DomainError(f"step size must be positive, got {h}")
+    has shape (..., d), and ``h`` is one step size or a (rows, 1) column."""
+    _check_step_size(h)
     x = np.asarray(x, float)
     tangent = np.sqrt(h) * space.frame_apply(x, noise)
     return _exp_step(space, x, tangent)

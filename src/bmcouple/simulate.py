@@ -7,6 +7,9 @@ paths are chunked over worker threads.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -111,24 +114,85 @@ def _stop_at_crossing(space, stop, old: CouplingState, new: CouplingState, f_old
     return crossed, f_new
 
 
-def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapshot_idx, stop=None):
-    """Step the paths ``path_ids`` of one run (one worker thread's share).
+class _Recorder:
+    """The samples of one step size's rows ``part`` of a chunk's state.
+
+    ``next`` is the next step it samples (inf once it has sampled every
+    step).  A sample reads a state and the step size's rows in it: the
+    chunk's state, or the working state while all of those rows run.
+    Recorded steps keep y - x in a buffer of at most ``RECORD_BUDGET``
+    doubles, flushed when full and at the end of each noise window: one call
+    measures its chords, and rho is derived from them.
+    """
+
+    def __init__(self, space, part, record_idx, snapshot_idx, width):
+        n, n_rec = part.stop - part.start, len(record_idx)
+        self.space, self.part = space, part
+        self.record_idx, self.snapshot_idx = record_idx, snapshot_idx
+        # the steps it samples, merged lazily: a list of them would hold memory
+        # of the chunk's thread through the run and raise the process's peak
+        self._later = (k for k, _ in itertools.groupby(heapq.merge(record_idx, sorted(snapshot_idx))))
+        self.next = next(self._later)
+        self.rho = np.empty((n_rec, n))
+        self.chord = np.empty((n_rec, n))
+        self.regime = np.empty((n_rec, n), dtype=np.int8)
+        self.snapshots = {}
+        self.diffs = np.empty((max(1, min(RECORD_BUDGET // (n * width), n_rec)), n, width))
+        self.pos = self.flushed = 0
+
+    def record(self, state: CouplingState, part: slice) -> None:
+        """Sample the rows ``part`` of ``state`` as the step ``next``."""
+        step_index = self.next
+        if self.pos < len(self.record_idx) and self.record_idx[self.pos] == step_index:
+            np.subtract(state.y[part], state.x[part], out=self.diffs[self.pos - self.flushed])
+            self.regime[self.pos] = state.regime[part]
+            self.pos += 1
+            if self.pos - self.flushed == len(self.diffs):
+                self.flush()
+        if step_index in self.snapshot_idx:
+            self.snapshots[step_index] = (state.x[part].copy(), state.y[part].copy())
+        self.next = next(self._later, math.inf)
+
+    def flush(self) -> None:
+        if self.pos > self.flushed:
+            done = slice(self.flushed, self.pos)
+            self.chord[done] = self.space.metric_norm(self.diffs[: self.pos - self.flushed])
+            self.rho[done] = self.space.chord_distance(self.chord[done])
+            self.flushed = self.pos
+
+
+def _run_chunk(strategy, x0, y0, hs, n_steps, seed, path_ids, record_idx, snapshot_idx, stop=None):
+    """Step the paths ``path_ids`` of one run (one worker thread's share) at
+    each step size of ``hs``; ``n_steps``, ``record_idx`` and ``snapshot_idx``
+    hold one entry per step size.  Returns each step size's (rho, chord,
+    regime, snapshots).
 
     The chunk builds one ``NoiseStream`` and moves it from path to path: at
     a path's first window it is re-keyed to (seed, path id), and a path with
     a later window keeps the stream's state until that window.  So each path
     draws the stream it would draw alone, whatever the chunking.
 
-    While every path runs, the chunk's state is stepped whole.  Once paths
-    stop, a working state holds only the running rows, in order: a step
-    that stops paths writes their stop pairs into the chunk's state and
-    drops them from the working state with one gather.  The working rows are
-    the next window's noise rows, and the working state is written back
-    only at record and snapshot steps.  The stop function is called once
-    per point and step; its values at a step's end serve the next step.
+    Each path gets one row per step size, row j n + p for path p at
+    ``hs[j]``, and all rows step in lockstep by step index: path p's rows
+    read the same normals of its stream, drawn once, to the longest step
+    count.  With one step size, ``h`` stays a float and the rows are the
+    paths; with more, moves get a (rows, 1) column of step sizes.
+
+    While every row runs, the chunk's state is stepped whole.  Once rows
+    stop, or a step size takes its last step, a working state holds only
+    the running rows, in order: such a step writes the leaving rows into
+    the chunk's state and drops them from the working state with one
+    gather.  ``sel`` maps the working rows to their paths' rows of the noise
+    block, which holds the paths with a running row at the window start;
+    with one step size it is None until rows stop, and the noise of a step
+    is a view of the block.  A step size whose rows all run records from
+    the working state; the working state is written back only at the record
+    and snapshot steps of the others.  The stop function is called once per
+    point and step; its values at a step's end serve the next step.
     """
-    n = len(path_ids)
-    state = strategy.initial_state(x0, y0, n)
+    n, m = len(path_ids), len(hs)
+    starts = [p if p.ndim == 1 else np.tile(p, (m, 1)) for p in (x0, y0)]
+    state = strategy.initial_state(*starts, m * n)
     if stop is not None:
         f = (stop(state.x), stop(state.y))
         if (f[0] < 0.0).any() or (f[1] < 0.0).any():
@@ -139,43 +203,25 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
     keys = stream_keys(seed, path_ids)
     stream = NoiseStream(seed, path_ids[0])
     positions = [None] * n  # each path's stream state between its windows
-    work, rows = state, np.arange(n)  # the running rows of the state, and their rows in it
+    work, rows = state, np.arange(m * n)  # the running rows of the state, and their rows in it
+    n_max = max(n_steps)
+    ends = set(n_steps) - {n_max}  # the steps after which a step size's rows leave
+    if m == 1:
+        h = hs[0]
+    else:  # the working rows' step sizes, and the steps after which they leave
+        h, last = np.repeat(np.asarray(hs, float), n)[:, None], np.repeat(n_steps, n)
 
-    space = strategy.space
-    n_rec = len(record_idx)
-    rho = np.empty((n_rec, n))
-    chord = np.empty((n_rec, n))
-    regime = np.empty((n_rec, n), dtype=np.int8)
-    snapshots = {}
     width = state.x.shape[-1]
-    diffs = np.empty((max(1, min(RECORD_BUDGET // (n * width), n_rec)), n, width))
-    rec_pos = flushed = 0
-
-    def flush():
-        nonlocal flushed
-        if rec_pos > flushed:
-            part = slice(flushed, rec_pos)
-            chord[part] = space.metric_norm(diffs[: rec_pos - flushed])
-            rho[part] = space.chord_distance(chord[part])
-            flushed = rec_pos
-
-    def due(step_index):
-        return (rec_pos < n_rec and record_idx[rec_pos] == step_index) or step_index in snapshot_idx
-
-    def record(step_index, st):
-        nonlocal rec_pos
-        if rec_pos < n_rec and record_idx[rec_pos] == step_index:
-            np.subtract(st.y, st.x, out=diffs[rec_pos - flushed])
-            regime[rec_pos] = st.regime
-            rec_pos += 1
-            if rec_pos - flushed == len(diffs):
-                flush()
-        if step_index in snapshot_idx:
-            snapshots[step_index] = (st.x.copy(), st.y.copy())
-
-    record(0, state)
+    recorders = [
+        _Recorder(strategy.space, slice(j * n, (j + 1) * n), *sizes, width)
+        for j, sizes in enumerate(zip(record_idx, snapshot_idx))
+    ]
+    parts = [rec.part for rec in recorders]  # the rows of each in the working state, while all run
+    for rec in recorders:
+        rec.record(state, rec.part)
+    due = min(rec.next for rec in recorders)  # the next step that any of them samples
     step = 0
-    max_window = max(1, min(NOISE_WINDOW, NOISE_BUDGET // max(1, n * total), n_steps))
+    max_window = max(1, min(NOISE_WINDOW, NOISE_BUDGET // max(1, n * total), n_max))
     # on pages of its own, given back to the system when the chunk ends: on the heap, a
     # later run's buffer could miss the hole this one left and add to the peak memory.
     # On Linux they are private, with the huge-page advice numpy gives large arrays.
@@ -184,14 +230,18 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
     if linux:
         mem.madvise(mmap.MADV_HUGEPAGE)
     buffer = np.frombuffer(mem).reshape(n, max_window, total)
-    while step < n_steps and rows.size:
-        # noise only for the paths still running at the window start, filled
-        # in place into the front of the chunk's one buffer by the chunk's
-        # one stream, moved from path to path
-        window = min(max_window, n_steps - step)
-        later = step + window < n_steps
-        block = buffer[: rows.size, :window]
-        for row, pid in enumerate(rows):
+    while step < n_max and rows.size:
+        # noise only for the paths with a running row at the window start,
+        # filled in place into the front of the chunk's one buffer by the
+        # chunk's one stream, moved from path to path
+        window = min(max_window, n_max - step)
+        later = step + window < n_max
+        if m == 1:
+            live, sel = rows, None
+        else:
+            live, sel = np.unique(rows % n, return_inverse=True)
+        block = buffer[: live.size, :window]
+        for row, pid in enumerate(live):
             if step == 0:
                 stream.rekey(keys[pid])
             else:
@@ -199,35 +249,54 @@ def _run_chunk(strategy, x0, y0, h, n_steps, seed, path_ids, record_idx, snapsho
             stream.standard_normal(out=block[row])
             if later:
                 positions[pid] = stream.state
-        sel = None  # the block rows of the working rows, once paths stop in the window
         for i in range(window):
             drawn = block[:, i] if sel is None else block[sel, i]
             noise = StepNoise(primary=drawn[:, :p_dim], auxiliary=drawn[:, p_dim:] if a_dim else None)
             new = strategy.step(work, noise, h)
             ended = None
             if stop is not None:
-                ended, f = _stop_at_crossing(space, stop, work, new, f)
+                ended, f = _stop_at_crossing(strategy.space, stop, work, new, f)
             if work is state:
                 state = new
             work = new
             step += 1
+            if step in ends:
+                ended = last == step if ended is None else ended | (last == step)
             if ended is not None and ended.any():
                 hit, keep = np.flatnonzero(ended), np.flatnonzero(~ended)
                 if work is not state:
                     _put(state, rows[hit], work, hit)
                 work, rows, sel = _take(work, keep), rows[keep], keep if sel is None else sel[keep]
-                f = (f[0][keep], f[1][keep])
-            if work is not state and due(step):
-                _put(state, rows, work)
-            record(step, state)
+                if stop is not None:
+                    f = (f[0][keep], f[1][keep])
+                if m == 1:
+                    parts = [None]
+                else:
+                    h, last = h[keep], last[keep]
+                    bounds = np.searchsorted(rows, np.arange(m + 1) * n).tolist()
+                    parts = [slice(lo, hi) if hi - lo == n else None for lo, hi in zip(bounds, bounds[1:])]
+            if step == due:
+                if any(part is None and rec.next == step for rec, part in zip(recorders, parts)):
+                    _put(state, rows, work)
+                for rec, part in zip(recorders, parts):
+                    if rec.next == step:
+                        rec.record(*((state, rec.part) if part is None else (work, part)))
+                due = min(rec.next for rec in recorders)
             if not rows.size:
                 break
-        flush()
-    # once every path has stopped, later samples repeat the stop points
-    for index in range(step + 1, n_steps + 1):
-        record(index, state)
-    flush()
-    return rho, chord, regime, snapshots
+        for rec in recorders:
+            rec.flush()
+    # once every row has stopped, later samples repeat the stop points
+    for rec in recorders:
+        while rec.next < math.inf:
+            rec.record(state, rec.part)
+        rec.flush()
+    return [(rec.rho, rec.chord, rec.regime, rec.snapshots) for rec in recorders]
+
+
+def _joined(arrays, axis: int) -> np.ndarray:
+    """The chunks' arrays joined along ``axis``; a single chunk's array as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
 
 
 def run_paths(
@@ -235,7 +304,7 @@ def run_paths(
     x0,
     y0,
     *,
-    h: float,
+    h,
     t_final: float,
     n_paths: int,
     seed: int,
@@ -243,8 +312,15 @@ def run_paths(
     snapshot_times=(),
     threads: int | None = None,
     stop=None,
-) -> TrajectoryRecord:
+):
     """Simulate n_paths independent trajectories of the coupled pair.
+
+    ``h`` is one step size, for which the run returns one record, or a
+    tuple of them, for which it returns a tuple of records, one per step
+    size in order: each is bitwise the record of a run at that step size
+    alone.  The step sizes run as one batch in lockstep, each path's noise
+    drawn once for all of them (``_run_chunk``), and a step size's rows
+    leave the batch after its last step like stopped rows.
 
     Samples are recorded every ``record_stride`` steps (always including t=0
     and the final time); ``snapshot_times`` asks for full point ensembles at
@@ -255,56 +331,68 @@ def run_paths(
     crossing, and keeps that pair in every later sample; it is never stepped
     again.  ``stop`` sees only the running rows, once per point and step, so
     it must treat each row alone.  Recorded steps
-    keep y - x in a buffer of at most ``RECORD_BUDGET`` doubles, flushed when
-    full and at the end of each noise window: one call measures its chords,
-    and rho is derived from them.  The records do not depend on the budget.
+    keep y - x in a buffer of at most ``RECORD_BUDGET`` doubles per step
+    size, flushed when full and at the end of each noise window: one call
+    measures its chords, and rho is derived from them.  The records do not
+    depend on the budget.
     Path p draws the Philox stream keyed (seed, p); each worker thread builds
     one generator and re-keys it per path (``_run_chunk``), so the thread
     count sets only the speed.  By default it is one thread per
     ``PATHS_PER_THREAD`` paths, at least one and at most the CPU count.
     ``x0`` and ``y0`` are one point each, or one row per path.
     """
-    if h <= 0.0 or t_final <= 0.0:
+    hs = (h,) if np.ndim(h) == 0 else tuple(h)
+    if not hs:
+        raise DomainError("need at least one step size")
+    if not np.isfinite([*hs, t_final, *snapshot_times]).all():
+        raise DomainError("step sizes, horizon and snapshot times must be finite")
+    if min(hs) <= 0.0 or t_final <= 0.0:
         raise DomainError("step size and horizon must be positive")
+    if max(hs) > t_final:
+        raise DomainError(f"step size {max(hs)} exceeds the horizon {t_final}")
     if n_paths < 1:
         raise DomainError("need at least one path")
     if threads is None:
         threads = min(max(1, n_paths // PATHS_PER_THREAD), os.cpu_count() or 1)
     if record_stride < 1 or threads < 1:
         raise DomainError("record_stride and threads must be at least 1")
-    n_steps = max(1, int(round(t_final / h)))
-    if any(t < 0.0 or round(t / h) > n_steps for t in snapshot_times):
+    n_steps = tuple(int(round(t_final / step)) for step in hs)
+    if any(t < 0.0 or round(t / step) > n for t in snapshot_times for step, n in zip(hs, n_steps)):
         raise DomainError("snapshot times must lie between 0 and the horizon")
-    record_idx = sorted(set(range(0, n_steps + 1, record_stride)) | {n_steps})
-    snapshot_idx = {int(round(t / h)) for t in snapshot_times}
+    record_idx = tuple(sorted(set(range(0, n + 1, record_stride)) | {n}) for n in n_steps)
+    snapshot_idx = tuple({int(round(t / step)) for t in snapshot_times} for step in hs)
     x0, y0 = np.asarray(x0, float), np.asarray(y0, float)
     if any(p.ndim > 1 and len(p) != n_paths for p in (x0, y0)):
         raise DomainError(f"expected one start point or {n_paths} rows of them")
-    strategy.validate_run(x0, y0, np.arange(n_steps + 1) * h)
+    for step, n in zip(hs, n_steps):
+        strategy.validate_run(x0, y0, np.arange(n + 1) * step)
 
     jobs = []
     for lo, hi in _chunk_ranges(n_paths, threads):
         starts = [p if p.ndim == 1 else p[lo:hi] for p in (x0, y0)]
-        jobs.append((strategy, *starts, h, n_steps, seed, range(lo, hi), record_idx, snapshot_idx, stop))
+        jobs.append((strategy, *starts, hs, n_steps, seed, range(lo, hi), record_idx, snapshot_idx, stop))
     if len(jobs) == 1:
         results = [_run_chunk(*job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda job: _run_chunk(*job), jobs))
 
-    rho = np.concatenate([r[0] for r in results], axis=1)
-    chord = np.concatenate([r[1] for r in results], axis=1)
-    regime = np.concatenate([r[2] for r in results], axis=1)
-    snapshots = {}
-    for idx in snapshot_idx:
-        xs = np.concatenate([r[3][idx][0] for r in results], axis=0)
-        ys = np.concatenate([r[3][idx][1] for r in results], axis=0)
-        snapshots[idx * h] = (xs, ys)
-    return TrajectoryRecord(
-        times=np.asarray(record_idx, float) * h,
-        rho=rho,
-        chord=chord,
-        regime=regime,
-        h=h,
-        snapshots=snapshots,
-    )
+    records = []
+    for j, (step, idx, snaps) in enumerate(zip(hs, record_idx, snapshot_idx)):
+        parts = [r[j] for r in results]
+        snapshots = {}
+        for i in snaps:
+            xs = _joined([p[3][i][0] for p in parts], 0)
+            ys = _joined([p[3][i][1] for p in parts], 0)
+            snapshots[i * step] = (xs, ys)
+        records.append(
+            TrajectoryRecord(
+                times=np.asarray(idx, float) * step,
+                rho=_joined([p[0] for p in parts], 1),
+                chord=_joined([p[1] for p in parts], 1),
+                regime=_joined([p[2] for p in parts], 1),
+                h=step,
+                snapshots=snapshots,
+            )
+        )
+    return records[0] if np.ndim(h) == 0 else tuple(records)

@@ -265,8 +265,10 @@ def distance_law_check(
     sup_err = []
     mae_sup = []
     path_sup_mean = []
-    for h in H_LADDER:
-        record = run_paths(strategy, x0, y0, h=h, t_final=t_final, n_paths=n_paths, seed=seed)
+    # one batch for the whole ladder; each record is dropped once it is read
+    records = list(run_paths(strategy, x0, y0, h=H_LADDER, t_final=t_final, n_paths=n_paths, seed=seed))
+    while records:
+        record = records.pop(0)
         abs_err = np.abs(_observed(law, record) - law.evaluate(record.times)[:, None])
         sup_err.append(law_sup_error(law, record))
         mae_sup.append(float(np.max(np.mean(abs_err, axis=1))))

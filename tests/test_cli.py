@@ -162,7 +162,16 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--record-stride", "0"), ("--record-stride", "-3"), ("--threads", "0"), ("--h", "0"), ("--T", "-1")],
+        [
+            ("--record-stride", "0"),
+            ("--record-stride", "-3"),
+            ("--threads", "0"),
+            ("--h", "0"),
+            ("--T", "-1"),
+            ("--h", "nan"),
+            ("--T", "inf"),
+            ("--h", "5"),  # past the horizon T = 0.1
+        ],
     )
     def test_bad_stride_or_threads_is_config_error_and_writes_nothing(self, tmp_path, flag, value):
         code = main(

@@ -111,6 +111,16 @@ class TestStroockStep:
             stroock_step(np.array([1.0, 0, 0]), np.zeros(3), 0.0)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-3, np.array([[1e-3], [0.0]]), np.array([[-1e-3], [1e-3]])])
+def test_non_positive_step_rejected_as_float_or_column(h):
+    s2 = ModelSpace.sphere(2)
+    x = np.stack([s2.base_point(), s2.point_at_distance(0.5)])
+    with pytest.raises(DomainError, match="step size must be positive"):
+        stroock_step(x, np.zeros((2, 3)), h)
+    with pytest.raises(DomainError, match="step size must be positive"):
+        geodesic_walk_step(s2, x, np.zeros((2, 2)), h)
+
+
 class TestGeodesicWalk:
     def test_zero_noise_fixed_point(self):
         s2 = ModelSpace.sphere(2)

@@ -5,7 +5,7 @@ import pytest
 
 from bmcouple import simulate
 from bmcouple.couplings import STRATEGIES, FixedDistanceS2, make_strategy
-from bmcouple.drivers import StepNoise
+from bmcouple.drivers import NoiseStream, StepNoise
 from bmcouple.errors import DomainError
 from bmcouple.simulate import run_paths
 from bmcouple.spaces import ModelSpace
@@ -350,6 +350,29 @@ def test_move_sees_only_the_running_rows(monkeypatch):
     assert rows == [np.count_nonzero(stop_step >= k) for k in range(1, n_steps + 1)]
 
 
+def test_move_sees_no_row_after_its_step_size_ends(monkeypatch):
+    # Two step sizes in one batch: path p's row at each step size leaves at
+    # its first step that ends outside the cap (the unstopped runs alone
+    # show which) or after the step size's last step, whichever comes first.
+    monkeypatch.setattr(simulate, "NOISE_WINDOW", 16)
+    n, hs = 40, (4e-3, 2e-3)
+    expected = np.zeros(400, dtype=int)
+    for h in hs:
+        n_steps = round(0.8 / h)
+        free = _cap_run("fixed-s2", n, h=h, record_stride=100, snapshot_times=np.arange(n_steps + 1) * h, stop=None)
+        ends = [free.snapshots[t] for t in sorted(free.snapshots)]
+        outside = np.array([(_cap_stop(xs) < 0.0) | (_cap_stop(ys) < 0.0) for xs, ys in ends])
+        stop_step = np.where(outside.any(axis=0), outside.argmax(axis=0), n_steps)
+        assert 0 < np.count_nonzero(stop_step < n_steps) < n
+        expected[:n_steps] += [np.count_nonzero(stop_step >= k) for k in range(1, n_steps + 1)]
+    rows = []
+    move = FixedDistanceS2.move
+    counted = lambda self, x, y, gp, *rest: rows.append(len(gp)) or move(self, x, y, gp, *rest)  # noqa: E731
+    monkeypatch.setattr(FixedDistanceS2, "move", counted)
+    _cap_run("fixed-s2", n, h=hs)
+    assert rows == expected.tolist()
+
+
 def _crossing(track, k):
     f_old, f_new = _cap_stop(track[k - 1 : k])[0], _cap_stop(track[k : k + 1])[0]
     return f_old / (f_old - f_new) if f_new < 0.0 else 1.0
@@ -415,6 +438,20 @@ def test_per_path_starts_keep_the_seed_contract(strategy_id, params):
     assert _bits(runs[0]) == _bits(runs[1]) == _bits(runs[2])
 
 
+def test_one_path_chunks_keep_the_seed_contract():
+    # 3 paths on 3 threads: every chunk steps a lone row, whose products by
+    # a matrix numpy rounds otherwise than those of a batch (broken-marginal)
+    for strategy_id in STRATEGIES:
+        space = ModelSpace.euclidean(2) if strategy_id == "translation" else S2
+        strategy = make_strategy(strategy_id, space, **({"k": 0.5} if strategy_id == "rotation" else {}))
+        runs = [
+            run_paths(strategy, space.base_point(), space.point_at_distance(1.0), h=4e-3, t_final=0.2, n_paths=3,
+                      seed=5, record_stride=5, snapshot_times=(0.1,), threads=threads)
+            for threads in (1, 3)
+        ]
+        assert _bits(runs[0]) == _bits(runs[1]), strategy_id
+
+
 @pytest.mark.parametrize("rows", [5, 7])
 def test_per_path_starts_of_another_row_count_are_rejected_before_any_step(monkeypatch, rows):
     monkeypatch.setattr(simulate, "_run_chunk", lambda *job: pytest.fail("a chunk ran"))
@@ -437,12 +474,90 @@ def test_start_outside_the_stop_domain_is_rejected():
         {"threads": 0},
         {"threads": -2},
         {"snapshot_times": (0.1, 5.0)},
+        {"h": ()},
+        {"h": np.nan},
+        {"h": (4e-3, np.inf)},
+        {"t_final": np.inf},
+        {"t_final": np.nan},
+        {"snapshot_times": (0.1, np.nan)},
+        {"h": 0.5},  # one step past the horizon
+        {"h": (4e-3, 0.5)},
+        {"h": (4e-3, 0.0)},
     ],
 )
-def test_bad_sampling_arguments_are_rejected(kwargs):
-    args = dict(h=4e-3, t_final=0.2, n_paths=4, seed=1)
+def test_bad_sampling_arguments_are_rejected(monkeypatch, kwargs):
+    monkeypatch.setattr(simulate, "_run_chunk", lambda *job: pytest.fail("a chunk ran"))
+    args = dict(h=4e-3, t_final=0.2, n_paths=4, seed=1) | kwargs
     with pytest.raises(DomainError):
-        run_paths(make_strategy("fixed-s2", S2), S2.base_point(), S2.point_at_distance(1.0), **args, **kwargs)
+        run_paths(make_strategy("fixed-s2", S2), S2.base_point(), S2.point_at_distance(1.0), **args)
+
+
+# -- step-size tuples -------------------------------------------------------------------
+
+TUPLE_HS = (2e-3, 5e-3, 1e-3)  # 50, 20 and 100 steps to t = 0.1, in no order
+
+
+def _tuple_cases():
+    flat = ModelSpace.euclidean(2)
+    cases = {}
+    for strategy_id in STRATEGIES:
+        space = flat if strategy_id == "translation" else S2
+        params = {"k": 0.5} if strategy_id == "rotation" else {}
+        cases[strategy_id] = (make_strategy(strategy_id, space, **params), space, np.linspace(0.6, 1.4, 10))
+    # starts on both sides of the diagonal patch: both regimes occur
+    cases["patched-rotation"] = (make_strategy("rotation", S2, k=-1.0, eps=0.2), S2, np.linspace(0.03, 0.2, 10))
+    return cases
+
+
+def _band_stop(p):
+    # both points start on the last coordinate's zero; some paths leave |p_last| < 0.4 by t = 0.1
+    return 0.4 - np.abs(p[:, -1])
+
+
+@pytest.mark.parametrize("chunks", [1, 2])
+@pytest.mark.parametrize("case", list(_tuple_cases()))
+def test_step_size_tuple_gives_each_step_size_its_record_alone(monkeypatch, case, chunks):
+    strategy, space, rhos = _tuple_cases()[case]
+    monkeypatch.setattr(simulate, "PATHS_PER_THREAD", 10 // chunks)
+    y0 = np.stack([space.point_at_distance(rho) for rho in rhos])
+
+    def run(h, stop=_band_stop):
+        return run_paths(strategy, space.base_point(), y0, h=h, t_final=0.1, n_paths=10, seed=21, record_stride=3,
+                         snapshot_times=(0.05, 0.1), stop=stop)
+
+    together = run(TUPLE_HS)
+    assert isinstance(together, tuple) and len(together) == len(TUPLE_HS)
+    for h, record in zip(TUPLE_HS, together):
+        alone = run(h)
+        assert record.h == alone.h == h
+        assert _bits(record) == _bits(alone)
+        assert list(record.snapshots) == list(alone.snapshots)
+    # at every step size the stop ends some paths and not others
+    for record, free in zip(together, run(TUPLE_HS, stop=None)):
+        assert 0 < np.count_nonzero(np.any(record.snapshots[0.1][0] != free.snapshots[0.1][0], axis=1)) < 10
+    if case == "patched-rotation":
+        assert all(np.any(record.regime == 1) and np.any(record.regime == 0) for record in together)
+
+
+def test_step_size_tuple_draws_the_normals_of_its_finest_step_alone(monkeypatch):
+    monkeypatch.setattr(simulate, "NOISE_WINDOW", 16)
+    drawn = []
+    standard_normal = NoiseStream.standard_normal
+
+    def counting(self, shape=None, out=None):
+        values = standard_normal(self, shape, out)
+        drawn.append(values.size)
+        return values
+
+    monkeypatch.setattr(NoiseStream, "standard_normal", counting)
+    strategy = make_strategy("fixed-s2", S2)
+
+    def normals(h):
+        drawn.clear()
+        run_paths(strategy, S2.base_point(), S2.point_at_distance(1.0), h=h, t_final=0.1, n_paths=7, seed=2)
+        return sum(drawn)
+
+    assert normals(TUPLE_HS) == normals(min(TUPLE_HS)) == 7 * 100 * (3 + 3)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
