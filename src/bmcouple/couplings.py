@@ -11,7 +11,8 @@ The rotation strategy realizes the frame-bundle construction at the level of
 its projected one-step action: transport an adapted tangent frame along the
 connecting geodesic and rotate the perpendicular noise components by a
 distance-dependent angle.  The move applies that frame and its transport in
-closed form to the noise (``_transport_rotate_noise``) and never builds them.
+closed form to the noise (``RotationCoupling.noise_tangents``) on coordinate
+rows, and never builds them.
 """
 
 from __future__ import annotations
@@ -453,78 +454,6 @@ def scalar_distance_drift(space: ModelSpace, alpha) -> Callable[[float], float]:
     return lambda rho: float(_drift(curvature, dim, cos_alpha, rho))
 
 
-def _rotate_pairs_transposed(g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Apply the transposed block rotation to the noise: the first component is
-    fixed, consecutive pairs of the rest rotate by alpha (the drive dimension
-    is odd, so the rest pair up)."""
-    out = np.empty_like(g)
-    out[:, 0] = g[:, 0]
-    ca = np.cos(alpha)[:, None]
-    sa = np.sin(alpha)[:, None]
-    odd, even = g[:, 1::2], g[:, 2::2]
-    out[:, 1::2] = ca * odd - sa * even
-    out[:, 2::2] = sa * odd + ca * even
-    return out
-
-
-def _minkowski_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Minkowski products of two (n, ambient) arrays."""
-    return rowdot(a, b) - 2.0 * a[:, 0] * b[:, 0]
-
-
-def _transport_rotate_noise(space: ModelSpace, x, y, rho, gp, alpha) -> np.ndarray:
-    """Tangent noise of the rotation coupling in closed form, as one (2, n,
-    ambient) array: xi at x, then eta at y.  It forms no frame.
-
-    The adapted frame at x is the reference frame b turned by the Householder
-    map H taking the coefficients coef_j = <b_j, u> of the unit tangent u
-    toward y to e_1, so that frame_0 = u and, for frame coefficients v,
-
-        sum_j v_j frame_j = v_0 u + sum_j v'_j b_j,
-        v' = (0, v_1, ...) + kappa w,  w = e_1 - coef,
-        kappa = 2 sum_{j>=1} coef_j v_j / |w|^2
-
-    (kappa = 0 where |w|^2 <= 1e-24: u is b_0 already and H is the identity).
-    b is the reference frame of ``ModelSpace.frame_apply``, which forms
-    sum_j v'_j b_j; the pole data of x it applies also give coef, so they are
-    computed once.  Parallel transport to y fixes the perpendicular part and
-    takes u to u + sigma sin(rho) / (1 + cos(rho)) (x + y), sigma = -1 on the
-    sphere and +1 on the hyperboloid (with hyperbolic sin and cos; u itself
-    on flat space), so eta is the image of the rotated noise plus g_0 times
-    that change.  Both images are formed in one stacked pass.
-    """
-    d, curv = space.dim, space.curvature
-    n = x.shape[0]
-    if curv == 0:
-        u = (y - x) / np.maximum(rho, 1e-300)[:, None]
-        coef = u
-    else:
-        dot = rowdot if curv == 1 else _minkowski_rowdot
-        raw = y + (-curv * dot(x, y))[:, None] * x
-        u = raw / np.maximum(np.sqrt(np.maximum(dot(raw, raw), 0.0)), 1e-300)[:, None]
-        pole = pf, qf, pole_x, sig_c = space._frame_pole(x)
-        along = sig_c * dot(pole_x, u)
-        coef = np.empty((n, d))
-        coef[:, 0] = pf * u[:, 0] + qf * u[:, 1] + along * (pf * x[:, 0] + qf * x[:, 1])
-        coef[:, 1:] = u[:, 2:] + along[:, None] * x[:, 2:]
-    w0 = 1.0 - coef[:, 0]
-    w2 = w0 * w0 + rowdot(coef[:, 1:], coef[:, 1:])
-    two_w2 = np.where(w2 > 1e-24, 2.0 / np.maximum(w2, 1e-300), 0.0)
-
-    v = np.concatenate((gp[None, :, :d], _rotate_pairs_transposed(gp, alpha)[None, :, :d]))
-    kappa = rowdot(v[..., 1:], coef[:, 1:]) * two_w2
-    tail = v[..., 1:] - kappa[..., None] * coef[:, 1:]
-    if curv == 0:
-        out = np.concatenate(((kappa * w0)[..., None], tail), axis=-1)
-    else:
-        out = space._pole_frame_apply(pole, x, kappa * w0, tail)
-    out += v[..., :1] * u
-    if curv != 0:
-        half = np.tan(0.5 * rho) if curv == 1 else np.tanh(0.5 * rho)
-        out[1] += (-curv * half * gp[:, 0])[:, None] * (x + y)
-    return out
-
-
 class RotationCoupling(CouplingStrategy):
     """Transport-and-rotate coupling on any model space.
 
@@ -533,7 +462,9 @@ class RotationCoupling(CouplingStrategy):
     a rotation by alpha(rho) in the perpendicular 2-planes.  Even dimensions
     gain one fictitious driving dimension (frames of size d+1) so the
     perpendicular directions pair up.  The frames are applied in closed form
-    on ambient vectors (``_transport_rotate_noise``), never built.
+    on ambient vectors (``noise_tangents``), never built.  The move copies
+    its points and noise into coordinate rows, one contiguous row per
+    ambient coordinate, once per step.
 
     With a rate parameter k the angle solves
     cos(alpha) = gc(rho) + k rho gs(rho) / (2(d-1)), which makes the distance
@@ -552,8 +483,12 @@ class RotationCoupling(CouplingStrategy):
         super().__init__(space)
         if (k is None) == (alpha_override is None):
             raise DomainError("exactly one of k and alpha_override must be given")
+        if not np.isfinite(alpha_override if k is None else k):
+            raise DomainError(f"k and alpha_override must be finite, got k={k}, alpha_override={alpha_override}")
         self.k = k
         self.alpha_override = alpha_override
+        fixed = alpha_override is not None  # its cosine and sine are taken once
+        self._fixed_turn = (np.cos(float(alpha_override)), np.sin(float(alpha_override))) if fixed else None
 
     @property
     def expanding(self) -> bool:  # type: ignore[override]
@@ -600,20 +535,115 @@ class RotationCoupling(CouplingStrategy):
             raise CutLocusError("rotation coupling undefined at (numerically) antipodal points")
         return rho
 
-    def noise_tangents(self, x, y, gp) -> np.ndarray:
-        """Tangent noise pair induced by the driving draws, stacked as one
-        (2, n, ambient) array: xi at x, then eta at y.
+    def noise_tangents(self, x, y, g) -> np.ndarray:
+        """Tangent noise pair induced by the driving draws, on coordinate rows:
+        x and y hold one row per ambient coordinate and g one per driving
+        component, over n paths.  Returns an (ambient, 2, n) array: xi at x,
+        then eta at y.  It forms no frame.
 
-        The adapted frame at x is transported to y; the perpendicular
-        components of the noise rotate by alpha(rho) on the way.
+        The adapted frame at x is the reference frame b turned by the
+        Householder map H taking the coefficients coef_j = <b_j, u> of the
+        unit tangent u toward y to e_1, so that frame_0 = u and, for frame
+        coefficients v,
+
+            sum_j v_j frame_j = v_0 u + sum_j v'_j b_j,
+            v' = (0, v_1, ...) + kappa w,  w = e_1 - coef,
+            kappa = 2 sum_{j>=1} coef_j v_j / |w|^2
+
+        (kappa = 0 where |w|^2 <= 1e-24: u is b_0 already and H is the
+        identity).  b is the reference frame of ``ModelSpace.frame_apply``,
+        which forms sum_j v'_j b_j; the pole data of x it applies also give
+        coef, so they are computed once.  Parallel transport to y fixes the
+        perpendicular part and takes u to u + sigma sin(rho) / (1 + cos(rho))
+        (x + y), sigma = -1 on the sphere and +1 on the hyperboloid (with
+        hyperbolic sin and cos; u itself on flat space), so eta is the image
+        of the noise, its perpendicular pairs rotated by alpha(rho), plus g_0
+        times that change.  Both images are formed in one stacked pass.  Row
+        dots add in einsum's order and row sums in numpy's (``rowdot``,
+        ``rowsum``), so the result is bitwise that of the same map on
+        (n, ambient) rows.
         """
-        rho = self._distance(x, y)
-        return _transport_rotate_noise(self.space, x, y, rho, gp, self._alpha(rho))
+        space, curv = self.space, self.space.curvature
+        rho = self._distance(x.T, y.T)
+        u, pole, first, tail = self._frame_coefficients(x, y, rho, g)
+        if curv == 0:
+            out = np.concatenate((first[None], tail))
+        else:
+            out = space._pole_frame_apply(pole, x[:, None], first, tail)
+        out += g[0] * u[:, None]
+        if curv != 0:
+            half = np.tan(0.5 * rho) if curv == 1 else np.tanh(0.5 * rho)
+            out[:, 1] += (-curv * half * g[0]) * (x + y)
+        return out
+
+    def _frame_coefficients(self, x, y, rho, g):
+        """The unit tangent u at x toward y, the pole data of the reference
+        frame at x (None on flat space), and the coefficients in that frame
+        of both noise images but their g_0 u parts: the first, (2, n), and
+        the rest, (d - 1, 2, n).  Arrays are formed in place where their
+        values allow, and the intermediate ones die here: with fewer arrays
+        alive at once, less of a step's memory is handed back to the system
+        and faulted in again at the next step."""
+        space = self.space
+        d, curv = space.dim, space.curvature
+        n = x.shape[1]
+        if self._fixed_turn is None:
+            alpha = self._alpha(rho)
+            cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+        else:
+            cos_a, sin_a = self._fixed_turn
+
+        def dot(a, b):  # the metric's row dots, in einsum's order
+            out = rowdot(a.T, b.T)
+            if curv == -1:
+                out -= 2.0 * a[0] * b[0]
+            return out
+
+        pole = None
+        if curv == 0:
+            u = y - x
+            u /= np.maximum(rho, 1e-300)
+            coef = u
+        else:
+            u = (-curv * dot(x, y)) * x
+            u += y
+            u /= np.maximum(np.sqrt(np.maximum(dot(u, u), 0.0)), 1e-300)
+            pf, qf, pole_x, sig_c = space._frame_pole(x)
+            pole = (pf, qf, pole_x[:, None], sig_c)
+            along = sig_c * dot(pole_x, u)
+            coef = np.empty((d, n))
+            coef[0] = pf * u[0] + qf * u[1] + along * (pf * x[0] + qf * x[1])
+            np.multiply(along, x[2:], out=coef[1:])
+            coef[1:] += u[2:]
+        w0 = 1.0 - coef[0]
+        w2 = w0 * w0 + rowdot(coef[1:].T, coef[1:].T)
+        two_w2 = np.where(w2 > 1e-24, 2.0 / np.maximum(w2, 1e-300), 0.0)
+
+        # the perpendicular noise, then its pairs turned by alpha (the drive
+        # dimension is odd, so they pair up); an even dimension drops the
+        # fictitious last component after the turn
+        tail = np.empty((d - 1, 2, n))
+        tail[:, 0] = g[1:d]
+        odd, even = g[1::2], g[2::2]
+        tail[0::2, 1] = cos_a * odd - sin_a * even
+        tail[1::2, 1] = (sin_a * odd + cos_a * even)[: (d - 1) // 2]
+        coef_perp = coef[1:, None]
+        kappa = rowdot(tail.T, coef_perp.T).T * two_w2
+        tail -= kappa * coef_perp
+        kappa *= w0
+        return u, pole, kappa, tail
 
     def move(self, x, y, gp, ga, h, cache):
-        tangents = np.sqrt(h) * self.noise_tangents(x, y, gp)
-        moved = _exp_step(self.space, np.concatenate((x[None], y[None])), tangents)
-        return moved[0], moved[1], cache
+        # both particles' coordinates as the rows of one (ambient, 2n) array,
+        # the noise as (drive, n) rows, and the step lengths of both as one
+        # row: the exponential of each pair's step is one pass over them
+        n = len(x)
+        points = np.concatenate((x.T, y.T), axis=1, out=np.empty((x.shape[1], 2 * n)))
+        tangents = self.noise_tangents(points[:, :n], points[:, n:], gp.T.copy())
+        tangents *= np.sqrt(h).T
+        tangents = tangents.reshape(len(points), 2 * n)
+        moved = np.ascontiguousarray(_exp_step(self.space, points.T, tangents.T))
+        return moved[:n], moved[n:], cache
 
 
 # -- broken coupling (negative control) ---------------------------------------------
@@ -699,31 +729,39 @@ class PatchedCoupling(CouplingStrategy):
         cache = self.inner.init_cache(x, y)
         return CouplingState(x=x, y=y, regime=regime, cache=cache)
 
+    def _free_move(self, x, y, gp, ga, h):
+        """Both particles moved alone, on draws of their own."""
+        nd = self.inner.indep_dim
+        return self.inner.independent_move(x, gp[:, :nd], h), self.inner.independent_move(y, ga[:, :nd], h)
+
     def step(self, state: CouplingState, noise: StepNoise, h) -> CouplingState:
         gp, ga = noise.primary, noise.auxiliary
-        # coupled and free rows together are every row
-        x_new = np.empty_like(state.x)
-        y_new = np.empty_like(state.y)
         coupled = state.regime == COUPLED
-        free = ~coupled
-        # each regime gets its rows of a step-size column
-        h_coupled, h_free = (h, h) if np.ndim(h) == 0 else (h[coupled], h[free])
+        n_coupled = np.count_nonzero(coupled)
         cache = state.cache
-        if coupled.any():
+        # where every row shares a regime, the whole state makes one move
+        if n_coupled == len(coupled):
+            x_new, y_new, cache = self.inner.move(state.x, state.y, gp, ga, h, cache)
+        elif not n_coupled:
+            x_new, y_new = self._free_move(state.x, state.y, gp, ga, h)
+        else:
+            # coupled and free rows together are every row; each regime gets
+            # its rows of a step-size column
+            free = ~coupled
+            h_coupled, h_free = (h, h) if np.ndim(h) == 0 else (h[coupled], h[free])
+            x_new = np.empty_like(state.x)
+            y_new = np.empty_like(state.y)
             sub_ga = None if ga is None else ga[coupled]
             xc, yc, cache = self.inner.move(
                 state.x[coupled], state.y[coupled], gp[coupled], sub_ga, h_coupled, cache
             )
             x_new[coupled] = xc
             y_new[coupled] = yc
-        if free.any():
-            nd = self.inner.indep_dim
-            x_new[free] = self.inner.independent_move(state.x[free], gp[free, :nd], h_free)
-            y_new[free] = self.inner.independent_move(state.y[free], ga[free, :nd], h_free)
+            x_new[free], y_new[free] = self._free_move(state.x[free], state.y[free], gp[free], ga[free], h_free)
         rho = self.space.distance(x_new, y_new)
         regime = state.regime.copy()
         regime[coupled & self._independent_zone(rho)] = INDEPENDENT
-        regime[free & self._coupled_zone(rho)] = COUPLED
+        regime[~coupled & self._coupled_zone(rho)] = COUPLED
         return CouplingState(x=x_new, y=y_new, regime=regime, cache=cache)
 
 

@@ -4,6 +4,9 @@ Euclidean space (curvature 0), the unit sphere (+1) and hyperbolic space (-1,
 hyperboloid sheet in Minkowski coordinates with the first coordinate timelike
 and positive).  All point/vector operations accept arrays with an arbitrary
 number of leading batch axes; the last axis is the ambient coordinate axis.
+The frame and exponential kernels work on coordinate rows (ambient axis
+first, ``_coords_first``); the (..., ambient) methods reach them through
+transposed views, and callers holding coordinate rows pass their transposes.
 
 General curvature is handled by distance/time rescaling at the caller, never
 stored here.
@@ -22,16 +25,18 @@ ANTIPODE_TOL = 1e-8
 
 
 def rowsum(p) -> np.ndarray:
-    """Sum over the last axis by adding its columns in order.
+    """Sum over the last axis, == np.add.reduce of a C-ordered copy of p
+    whatever p's layout, by adding its columns in order.
 
     From 2 to 7 entries that is the order of numpy's own reduction (it sums
-    pairwise from 8), so the result is == np.add.reduce(p, axis=-1), without
-    the strided reduction loop that dominates on these short axes.  Other
-    lengths go to numpy.
+    pairwise from 8), without the strided reduction loop that dominates on
+    these short axes; on a transposed (coordinate-major) array each column
+    is a contiguous row.  Only a row of -0.0 entries differs: it sums to
+    -0.0 here and to +0.0 in numpy.  Other lengths go to numpy.
     """
     p = np.asarray(p)
     if not 2 <= p.shape[-1] <= 7:
-        return np.add.reduce(p, axis=-1)
+        return np.add.reduce(p if p.strides[-1] == p.itemsize else np.ascontiguousarray(p), axis=-1)
     out = p[..., 0] + p[..., 1]
     for j in range(2, p.shape[-1]):
         out += p[..., j]
@@ -40,30 +45,48 @@ def rowsum(p) -> np.ndarray:
 
 def rowdot(a, b) -> np.ndarray:
     """Dot products of two float64 arrays over their last axis, == (sign of
-    zero included) np.einsum("...j,...j->...", a, b).  The lead axes broadcast.
+    zero included) np.einsum("...j,...j->...") of C-ordered copies of a and
+    b, whatever their layout.  The lead axes broadcast.
 
     On unit-stride rows of 1 to 7 entries einsum adds the even entries of the
     product in order to +0.0, the odd ones in order to +0.0, then the two
-    sums.  When ``a`` has 2 to 4 entries in each of at least 64 * 2^w rows
-    (256, 512, 1024), a few column adds in that order take less time than
-    einsum's per-call setup (a half to two thirds of einsum's time at 2048
-    rows of 2 or 3), so this adds them; smaller batches go to einsum.
+    sums; on other layouts it adds in other orders.  This adds the columns
+    in that order on rows that are not unit-stride (such as transposed
+    coordinate rows), and where ``a`` has 2 to 4 entries in each of at least
+    64 * 2^w rows (256, 512, 1024), where a few column adds beat einsum's
+    per-call setup.  Other batches go to einsum, on C-ordered copies.
     """
     width = a.shape[-1]
-    if (
-        a.size < width * (64 << width)
-        or not 2 <= width <= 4
-        or b.shape[-1] != width
-        or a.strides[-1] != 8
-        or b.strides[-1] != 8
-    ):
+    if (a.size < width * (64 << width) or not 2 <= width <= 4) and a.strides[-1] == b.strides[-1] == 8:
         return np.einsum("...j,...j->...", a, b)
+    if not 1 <= width <= 7:
+        return np.einsum("...j,...j->...", np.ascontiguousarray(a), np.ascontiguousarray(b))
     p = a * b
-    out = p[..., 0] + p[..., 2 if width > 2 else 1]
+    # a sum from +0.0 differs from one from its first entry only at -0.0,
+    # which the last add of +0.0 makes up for
+    out = p[..., 0] + (p[..., 2 if width > 2 else 1] if width > 1 else 0.0)
+    for j in range(4, width, 2):
+        out += p[..., j]
     if width > 2:
-        out += p[..., 1] if width == 3 else p[..., 1] + p[..., 3]
-    out += 0.0  # as from +0.0: a row of -0.0 products sums to +0.0
+        odd = p[..., 1] if width == 3 else p[..., 1] + p[..., 3]
+        for j in range(5, width, 2):
+            odd += p[..., j]
+        out += odd
+    out += 0.0
     return out
+
+
+def _coords_first(a, ndim: int) -> np.ndarray:
+    """A view of the (..., ambient) array ``a``, padded with leading axes to
+    ``ndim`` axes, with its ambient axis first."""
+    if a.ndim < ndim:
+        a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
+    return a.T if ndim <= 2 else np.moveaxis(a, -1, 0)
+
+
+def _coords_last(a) -> np.ndarray:
+    """The inverse of ``_coords_first``: a view with the ambient axis last."""
+    return a.T if a.ndim <= 2 else np.moveaxis(a, 0, -1)
 
 
 @dataclass(frozen=True)
@@ -131,10 +154,16 @@ class ModelSpace:
         x = np.asarray(x, float)
         if self.curvature == 0:
             return x
+        return _coords_last(self._project_rows(_coords_first(x, x.ndim).copy()))
+
+    def _project_rows(self, x) -> np.ndarray:
+        """``project_point`` on a curved space, on coordinate rows, in place:
+        x is rescaled and returned."""
         if self.curvature == 1:
-            return x / np.sqrt(rowsum(x * x))[..., None]
-        scale = np.sqrt(np.maximum(-self.metric_dot(x, x), 1e-300))
-        return x / scale[..., None]
+            x /= np.sqrt(rowsum((x * x).T).T)
+        else:
+            x /= np.sqrt(np.maximum(-self.metric_dot(x.T, x.T).T, 1e-300))
+        return x
 
     def project_tangent(self, x, w) -> np.ndarray:
         x = np.asarray(x, float)
@@ -175,14 +204,20 @@ class ModelSpace:
         return self._exp_unit(x, v, np.asarray(s, float))
 
     def _exp_unit(self, x, v, s) -> np.ndarray:
-        s = s[..., None] if np.ndim(s) else s
         if self.curvature == 0:
-            return x + s * v
-        if self.curvature == 1:
-            out = np.cos(s) * x + np.sin(s) * v
-        else:
-            out = np.cosh(s) * x + np.sinh(s) * v
-        return self.project_point(out)
+            return x + (s[..., None] if np.ndim(s) else s) * v
+        ndim = max(x.ndim, v.ndim)
+        x, v = _coords_first(x, ndim), _coords_first(v, ndim)
+        v = np.array(np.broadcast_to(v, np.broadcast_shapes(x.shape, v.shape, np.shape(s))))
+        return _coords_last(self._exp_unit_rows(x, v, s))
+
+    def _exp_unit_rows(self, x, v, s) -> np.ndarray:
+        """``_exp_unit`` on a curved space, on coordinate rows, formed in
+        place of v (which must have the result's shape): fewer arrays alive."""
+        cos, sin = (np.cos, np.sin) if self.curvature == 1 else (np.cosh, np.sinh)
+        v *= sin(s)
+        v += cos(s) * x
+        return self._project_rows(v)
 
     def exp_tangent(self, x, u) -> np.ndarray:
         """Exponential of a general (possibly zero) tangent vector u at x."""
@@ -194,9 +229,11 @@ class ModelSpace:
 
     def _exp_length(self, x, u, s) -> np.ndarray:
         """``exp_tangent(x, u)`` on a curved space, given s = metric_norm(u)."""
-        safe = np.maximum(s, 1e-300)
-        out = self._exp_unit(x, u / safe[..., None], s)
-        return np.where(s[..., None] > 0.0, out, x)
+        ndim = max(x.ndim, u.ndim)
+        x, u = _coords_first(x, ndim), _coords_first(u, ndim)
+        out = self._exp_unit_rows(x, u / np.maximum(s, 1e-300), s)
+        np.copyto(out, x, where=~(s > 0.0))
+        return _coords_last(out)
 
     def log_map(self, p, q) -> np.ndarray:
         """Initial velocity, scaled by the distance, of the minimizing geodesic p -> q."""
@@ -254,15 +291,15 @@ class ModelSpace:
         return self._exp_unit(x, v, np.asarray(float(rho)))
 
     def _frame_pole(self, x):
-        """Pole data of the reference frame at the points x of a curved space:
-        the pole weights (pf = 1 where the pole is e_1, qf = 1 - pf), e_p + x
-        and -curvature / (1 + x_p)."""
-        pf = (1.0 + x[..., 0] < 0.1).astype(float) if self.curvature == 1 else np.zeros(x.shape[:-1])
+        """Pole data of the reference frame at the points x of a curved space,
+        on coordinate rows: the pole weights (pf = 1 where the pole is e_1,
+        qf = 1 - pf), e_p + x (contiguous rows) and -curvature / (1 + x_p)."""
+        pf = (1.0 + x[0] < 0.1).astype(float) if self.curvature == 1 else np.zeros(x.shape[1:])
         qf = 1.0 - pf
         pole_x = x.copy()
-        pole_x[..., 0] += qf
-        pole_x[..., 1] += pf
-        one_xp = pole_x[..., 0] * qf + pole_x[..., 1] * pf
+        pole_x[0] += qf
+        pole_x[1] += pf
+        one_xp = pole_x[0] * qf + pole_x[1] * pf
         if self.curvature == 1:
             # with the pole chosen per row, 1 + x_p >= 0.1 already on points
             # of the sphere; the clamp keeps points off it finite
@@ -271,14 +308,16 @@ class ModelSpace:
 
     def _pole_frame_apply(self, pole, x, first, rest) -> np.ndarray:
         """sum_j v_j b_j at x from the pole data of x and the coefficients
-        v = (first, *rest), on a curved space (see ``frame_apply``)."""
+        v = (first, *rest), on a curved space (see ``frame_apply``), on
+        coordinate rows: x, the pole's e_p + x and rest hold one row per
+        coordinate, over batch axes that broadcast with first's."""
         pf, qf, pole_x, sig_c = pole
         on_q = first * qf
-        out = np.empty(on_q.shape + x.shape[-1:])
-        out[..., 0] = first * pf
-        out[..., 1] = on_q
-        out[..., 2:] = rest
-        out += (sig_c * rowdot(out, x))[..., None] * pole_x
+        out = np.empty(x.shape[:1] + on_q.shape)
+        out[0] = first * pf
+        out[1] = on_q
+        out[2:] = rest
+        out += (sig_c * rowdot(out.T, x.T).T) * pole_x
         return out
 
     def frame_apply(self, x, v) -> np.ndarray:
@@ -300,7 +339,9 @@ class ModelSpace:
         v = np.asarray(v, float)
         if self.curvature == 0:
             return np.broadcast_to(v, np.broadcast_shapes(x.shape, v.shape)).copy()
-        return self._pole_frame_apply(self._frame_pole(x), x, v[..., 0], v[..., 1:])
+        ndim = max(x.ndim, v.ndim)
+        x, v = _coords_first(x, ndim), _coords_first(v, ndim)
+        return _coords_last(self._pole_frame_apply(self._frame_pole(x), x, v[0], v[1:]))
 
     def reference_frame(self, x) -> np.ndarray:
         """Deterministic orthonormal tangent frame at x, shape (..., d, ambient):

@@ -183,6 +183,22 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--alpha-override", "nan"), ("--alpha-override", "inf"), ("--k", "nan"), ("--k", "inf"), ("--k", "-inf")],
+    )
+    def test_non_finite_rate_or_angle_is_config_error_and_writes_nothing(self, tmp_path, flag, value):
+        # a NaN angle used to leave the second particle in place and exit 0;
+        # an infinite rate exited 3 through the feasibility check
+        code = main(
+            [
+                "simulate", "--space", "sphere:2", "--strategy", "rotation", f"{flag}={value}", "--rho0", "1",
+                "--paths", "2", "--h", "0.01", "--T", "0.05", "--out", str(tmp_path),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("paths, threads", [(100, 1), (5000, min(2, os.cpu_count() or 1))])
     def test_default_threads_follow_the_batch_size(self, tmp_path, monkeypatch, paths, threads):
         # run_paths picks the default, so count the chunks it runs

@@ -7,6 +7,7 @@ from bmcouple.couplings import (
     COUPLED,
     INDEPENDENT,
     STRATEGIES,
+    CouplingState,
     IndependentCoupling,
     PatchedCoupling,
     RotationCoupling,
@@ -34,6 +35,12 @@ from bmcouple.verify import convergence_order_fit
 
 S2 = ModelSpace.sphere(2)
 FLAT2 = ModelSpace.euclidean(2)
+
+
+def _noise_tangents(strategy, x, y, gp):
+    """``RotationCoupling.noise_tangents`` on (n, ambient) rows: the pair
+    (xi, eta) as one (2, n, ambient) array."""
+    return np.moveaxis(strategy.noise_tangents(x.T, y.T, gp.T), 0, -1)
 
 
 def _random_pairs(rng, n):
@@ -344,6 +351,23 @@ class TestRotationCoupling:
         with pytest.raises(DomainError):
             RotationCoupling(S2, k=0.0, alpha_override=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["k", "alpha_override"])
+    @pytest.mark.parametrize("eps", [None, 0.3])
+    def test_non_finite_rate_or_angle_rejected(self, name, value, eps):
+        # a NaN tangent would leave y where it is: the exponential's zero-length branch keeps it
+        with pytest.raises(DomainError):
+            make_strategy("rotation", S2, eps=eps, **{name: value})
+
+    def test_fixed_angle_turns_like_a_per_row_angle(self):
+        # the cosine and sine taken once give the bits of the per-row ones
+        rho = np.linspace(0.1, 3.0, 300)
+        for alpha in (0.0, 1.234, 0.5 * np.pi, np.pi, -2.5):
+            cos_a, sin_a = RotationCoupling(S2, alpha_override=alpha)._fixed_turn
+            per_row = np.full_like(rho, alpha)
+            assert np.array_equal(np.full_like(rho, cos_a), np.cos(per_row))
+            assert np.array_equal(np.full_like(rho, sin_a), np.sin(per_row))
+
     def test_zero_rate_angle_equals_distance_on_sphere(self):
         strategy = RotationCoupling(S2, k=0.0)
         rho = np.array([0.3, 1.2, 2.8])
@@ -397,7 +421,7 @@ class TestRotationCoupling:
             ]
         )
         gp = rng.standard_normal((40, strategy.primary_dim))
-        xi, eta = strategy.noise_tangents(x, y, gp)
+        xi, eta = _noise_tangents(strategy, x, y, gp)
         rho = space.distance(x, y)
         gdir0 = space.log_map(x, y) / rho[:, None]
         gdir1 = -space.log_map(y, x) / rho[:, None]
@@ -426,7 +450,7 @@ class TestRotationCoupling:
             for i in range(n_drive):
                 gp = np.zeros((1, n_drive))
                 gp[0, i] = 1.0
-                xi, eta = strategy.noise_tangents(x, y, gp)
+                xi, eta = _noise_tangents(strategy, x, y, gp)
                 xis.append(xi[0])
                 etas.append(eta[0])
             rho = space.distance(x, y)
@@ -513,7 +537,7 @@ class TestRotationNoiseMap:
         # the canonical start pair: u is the first reference vector exactly
         x[0], y[0] = space.base_point(), space.point_at_distance(1.0)
         gp = rng.standard_normal((n, strategy.primary_dim))
-        xi, eta = strategy.noise_tangents(x, y, gp)
+        xi, eta = _noise_tangents(strategy, x, y, gp)
         ref_xi, ref_eta = sm.rotation_noise_tangents(space, x, y, gp, strategy._alpha(space.distance(x, y)))
         # roundoff is amplified by 1/|e_1 - coef| where u nears the first
         # reference vector, in both maps; at a gap of 0 (the canonical pair)
@@ -533,7 +557,7 @@ class TestRotationNoiseMap:
         x, y = space.base_point()[None, :], space.point_at_distance(0.7)[None, :]
         assert _householder_gap(space, x, y)[0] == 0.0
         gp = np.random.default_rng(3).standard_normal((1, strategy.primary_dim))
-        xi, _ = strategy.noise_tangents(x, y, gp)
+        xi, _ = _noise_tangents(strategy, x, y, gp)
         d = space.dim
         expected = np.einsum("nj,nja->na", gp[:, :d], sm.reference_frame(space, x))
         assert np.max(np.abs(xi - expected)) < 1e-15
@@ -546,7 +570,7 @@ class TestRotationNoiseMap:
             gp = np.ones((len(x), strategy.primary_dim))
             if call == "move":
                 return strategy.move(x, y, gp, None, 1e-3, {})
-            return strategy.noise_tangents(x, y, gp)
+            return _noise_tangents(strategy, x, y, gp)
 
         x = np.stack([S2.base_point(), S2.point_at_distance(0.5)])
         meeting = np.stack([S2.point_at_distance(1.0), S2.point_at_distance(0.5)])
@@ -629,6 +653,49 @@ class TestPatched:
         coupled = record.regime == COUPLED
         assert np.any(coupled) and np.any(~coupled)
         assert np.all(record.rho[coupled] <= np.pi - 0.4 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "kwargs, eps, coupled_band, free_band",
+        [
+            # the ensemble's patched row: free inside rho < eps/4, coupled beyond eps/2
+            ({"k": -1.0}, 0.2, (0.05, 0.055), (0.095, 0.1)),
+            # a fixed angle near the cut locus: free beyond pi - eps, coupled below pi - 2 eps
+            ({"alpha_override": np.pi}, 0.3, (np.pi - 0.31, np.pi - 0.3), (np.pi - 0.6, np.pi - 0.59)),
+        ],
+    )
+    @pytest.mark.parametrize("column", [False, True])
+    def test_one_regime_batches_step_their_rows_as_a_mixed_batch_does(self, kwargs, eps, coupled_band, free_band, column):
+        """Rows stepped in a batch that is all coupled, or all free, come out
+        bitwise as they do in a mixed batch of the same rows, regimes
+        included, and some rows of each kind switch regime on the step."""
+        strategy = make_strategy("rotation", S2, eps=eps, **kwargs)
+        rng = np.random.default_rng(31)
+        n = 64
+        pole = np.broadcast_to(S2.base_point(), (2 * n, 3))
+        x = _geodesic_points(S2, pole, rng, 0.0, 3.0)
+        y = np.concatenate(
+            (_geodesic_points(S2, x[:n], rng, *coupled_band), _geodesic_points(S2, x[n:], rng, *free_band))
+        )
+        regime = np.repeat(np.array([COUPLED, INDEPENDENT], dtype=np.int8), n)
+        gp = rng.standard_normal((2 * n, strategy.primary_dim))
+        ga = rng.standard_normal((2 * n, strategy.aux_dim))
+        h = rng.choice([4e-3, 2e-3], (2 * n, 1)) if column else 2e-3
+
+        def step(rows):
+            state = CouplingState(x[rows], y[rows], regime[rows], strategy.inner.init_cache(x[rows], y[rows]))
+            out = strategy.step(state, StepNoise(gp[rows], ga[rows]), h[rows] if column else h)
+            return out.x, out.y, out.regime
+
+        mixed = rng.permutation(2 * n)  # coupled and free rows interleaved
+        whole = [step(np.arange(n)), step(np.arange(n, 2 * n))]
+        got = [np.concatenate(parts) for parts in zip(*whole)]
+        want = [np.empty_like(part) for part in got]
+        for part, value in zip(want, step(mixed)):
+            part[mixed] = value
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+        switched = got[2] != regime
+        assert switched[:n].any() and switched[n:].any()
 
     def test_bad_eps_rejected(self):
         with pytest.raises(DomainError):

@@ -20,6 +20,7 @@ import pathlib
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from bmcouple import simulate
@@ -29,7 +30,9 @@ from bmcouple.spaces import parse_space
 
 PINNED = pathlib.Path(__file__).with_name("pinned_records.json")
 
-# label: (space, strategy id, make_strategy keywords, start distance)
+# label: (space, strategy id, make_strategy keywords, start distance[, start
+# point]).  Without a start point a case starts at the base point; with one,
+# y starts at the start distance from it (``_start_pair``).
 CASES = {
     "translation": ("flat:2", "translation", {}, 1.0),
     "mirror-s2": ("sphere:2", "mirror-s2", {}, 1.0),
@@ -41,6 +44,13 @@ CASES = {
     "rotation-hyperbolic3": ("hyperbolic:3", "rotation", {"alpha_override": math.pi}, 1.0),
     "rotation-flat3": ("flat:3", "rotation", {"alpha_override": 0.5 * math.pi}, 1.0),
     "rotation-patched": ("sphere:2", "rotation", {"alpha_override": math.pi, "eps": 0.3}, math.pi - 0.4),
+    # the fixed angles of the distance-law ladder; even dimensions drive a
+    # fictitious direction
+    "rotation-hyperbolic2-perverse": ("hyperbolic:2", "rotation", {"alpha_override": math.pi}, 1.0),
+    "rotation-sphere2-synchronous": ("sphere:2", "rotation", {"alpha_override": 0.0}, 1.0),
+    "rotation-flat2-perverse": ("flat:2", "rotation", {"alpha_override": math.pi}, 1.0),
+    # x starts near -e_0, where the reference frame takes its second pole
+    "rotation-second-pole": ("sphere:2", "rotation", {"k": 0.5}, 1.0, (-1.0, 0.08, 0.05)),
     # these start in the independent regime, so they pin the lone-particle move
     "fixed-s2-patched": ("sphere:2", "fixed-s2", {"eps": 0.3}, math.pi - 0.2),
     "extrinsic-contract-s2-patched": ("sphere:2", "extrinsic-contract-s2", {"eps": 0.3}, math.pi - 0.2),
@@ -57,8 +67,22 @@ CASES = {
 STOP_CAPS = {"fixed-s2-stopped": 0.9}
 
 
+def _start_pair(space, rho0, start=None):
+    """The base point and the point at ``rho0`` from it; or the start point,
+    normalized onto the space, and the point at ``rho0`` from it toward the
+    last ambient axis."""
+    if start is None:
+        return space.base_point(), space.point_at_distance(rho0)
+    x0 = np.asarray(start, float)
+    x0 /= np.linalg.norm(x0)
+    toward = np.zeros_like(x0)
+    toward[-1] = 1.0
+    v = toward - (toward @ x0) * x0
+    return x0, space.exp_map(x0, v / np.linalg.norm(v), rho0)
+
+
 def _capture(label: str) -> dict:
-    space_text, strategy_id, kwargs, rho0 = CASES[label]
+    space_text, strategy_id, kwargs, rho0, *start = CASES[label]
     space = parse_space(space_text)
     stop, window = None, contextlib.nullcontext()
     if label in STOP_CAPS:
@@ -67,8 +91,7 @@ def _capture(label: str) -> dict:
     with window:
         record = run_paths(
             make_strategy(strategy_id, space, **kwargs),
-            space.base_point(),
-            space.point_at_distance(rho0),
+            *_start_pair(space, rho0, *start),
             h=0.05,
             t_final=1.0,
             n_paths=8,
@@ -91,6 +114,17 @@ def _capture(label: str) -> dict:
 def test_every_strategy_is_pinned():
     assert set(STRATEGIES) <= {CASES[label][1] for label in CASES}
     assert any("eps" in CASES[label][2] for label in CASES)
+
+
+def test_second_pole_case_uses_the_second_pole():
+    """The reference frame switches its pole where 1 + x_0 < 0.1: the case
+    starts there, and some of its x points are still there at the snapshot."""
+    space_text, _, _, rho0, start = CASES["rotation-second-pole"]
+    x0, y0 = _start_pair(parse_space(space_text), rho0, start)
+    assert 1.0 + x0[0] < 0.1
+    assert abs(np.arccos(x0 @ y0) - rho0) < 1e-12
+    xs = np.array([[float.fromhex(v) for v in row] for row in json.loads(PINNED.read_text())["rotation-second-pole"]["x"]])
+    assert 0 < np.count_nonzero(1.0 + xs[:, 0] < 0.1) < len(xs)
 
 
 @pytest.mark.parametrize("label", sorted(CASES))

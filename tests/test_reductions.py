@@ -1,6 +1,7 @@
 """Guards on the stepping path: ``rowsum`` and ``rowdot`` in place of strided
-last-axis reductions and ``einsum`` row dots in the kernels, no ``clip`` or
-``stack`` calls, and no frame built on it."""
+last-axis reductions and ``einsum`` row dots in the kernels, on row-major and
+coordinate-major (transposed) arrays alike, no ``clip`` or ``stack`` calls,
+and no frame built on it."""
 
 import ast
 import pathlib
@@ -16,6 +17,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bmcouple"
 @pytest.mark.parametrize("length", range(1, 13))
 @pytest.mark.parametrize("lead", [(), (1,), (7,), (200,), (2048,), (2, 200), (200, 3)])
 def test_rowsum_is_numpys_reduction(lead, length):
+    """Bit for bit on nonzero sums; a row of -0.0 entries is covered by
+    ``test_rowsum_and_rowdot_of_transposed_rows_are_those_of_c_copies``."""
     rng = np.random.default_rng(length)
     for _ in range(20):
         p = rng.standard_normal(lead + (length,)) * np.exp(rng.uniform(-30.0, 30.0, lead + (length,)))
@@ -25,15 +28,62 @@ def test_rowsum_is_numpys_reduction(lead, length):
         assert np.array_equal(np.sqrt(rowsum(p * p)), np.linalg.norm(p, axis=-1))
 
 
+def _draw(rng, shape):
+    return rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+
+
+def _transposed(a):
+    """``a`` in coordinate-major memory: its last axis moved to the front,
+    made contiguous and moved back, so each column is a contiguous row."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+
+
+def _signed_zero_cases(n, width):
+    """Rows of -0.0 products, rows of +-0.0 products and rows with one
+    nonzero entry, as pairs (a, b) of shape (n, width)."""
+    zeros = np.zeros((n, width))
+    zeros[::2, 0] = 1.0
+    return [(-zeros, np.ones((n, width))), (zeros[::-1].copy(), -np.ones((n, width))),
+            (np.full((n, width), -0.0), np.full((n, width), -0.0))]
+
+
 def _same_bits(got, want) -> bool:
     return np.shape(got) == np.shape(want) and np.array_equal(np.asarray(got).view(np.uint64),
                                                               np.asarray(want).view(np.uint64))
 
 
 @pytest.mark.parametrize("width", range(1, 13))
+@pytest.mark.parametrize("n", [1, 7, 255, 256, 2048])
+def test_rowsum_and_rowdot_of_transposed_rows_are_those_of_c_copies(n, width):
+    """On coordinate-major arrays, whose last axis has a stride of a whole
+    row of memory, ``rowsum`` and ``rowdot`` give the bits of
+    ``np.add.reduce`` and ``np.einsum`` on C-ordered copies: numpy's own
+    reductions follow the memory layout, and on such arrays they add in
+    other orders (einsum from 3 entries, add.reduce from 8)."""
+    rng = np.random.default_rng(1000 * width + n)
+    cases = [(_draw(rng, (n, width)), _draw(rng, (n, width))) for _ in range(5)]
+    cases += _signed_zero_cases(n, width)
+    stacked = (_draw(rng, (2, n, width)), _draw(rng, (n, width)))  # a stacked pair against one set of rows
+    for a, b in cases + [stacked]:
+        want_dot = np.einsum("...j,...j->...", np.ascontiguousarray(a), np.ascontiguousarray(b))
+        want_sum = np.add.reduce(np.ascontiguousarray(a), axis=-1)
+        for ta, tb in ((_transposed(a), _transposed(b)), (_transposed(a), b), (a, _transposed(b))):
+            assert _same_bits(rowdot(ta, tb), want_dot)
+            assert _same_bits(rowdot(tb, ta), np.einsum("...j,...j->...", np.ascontiguousarray(b),
+                                                        np.ascontiguousarray(a)))
+        # add.reduce sums a row of -0.0 to +0.0 from 2 entries, and rowsum,
+        # which adds columns, to -0.0 on every layout; other bits agree
+        got_sum = rowsum(_transposed(a))
+        assert _same_bits(got_sum, rowsum(np.ascontiguousarray(a)))
+        assert np.array_equal(got_sum, want_sum)
+        assert _same_bits(got_sum[want_sum != 0.0], want_sum[want_sum != 0.0])
+
+
+@pytest.mark.parametrize("width", range(1, 13))
 def test_rowdot_is_einsum(width):
     """Bit for bit, signs of zero included, at scales e^+-30, on lead shapes,
-    a (2, n, w) . (n, w) broadcast and column views of wider arrays."""
+    a (2, n, w) . (n, w) broadcast and column views of wider arrays, against
+    einsum on C-ordered copies."""
     rng = np.random.default_rng(width)
 
     def draw(shape):
@@ -52,7 +102,7 @@ def test_rowdot_is_einsum(width):
     cases.append((zeros[::-1], -np.ones((4096, width))))
     for a, b in cases:
         for _ in range(2):
-            assert _same_bits(rowdot(a, b), np.einsum("...j,...j->...", a, b))
+            assert _same_bits(rowdot(a, b), np.einsum("...j,...j->...", np.ascontiguousarray(a), np.ascontiguousarray(b)))
             a, b = b, a
 
 
@@ -105,8 +155,17 @@ def _einsum_calls(tree) -> list:
 
 def test_stepping_path_has_no_einsum():
     """Row dots go through ``rowdot``, which adds in einsum's order without
-    einsum on big batches."""
+    einsum on big batches and on coordinate-major rows: couplings.py and the
+    other stepping modules call no einsum, and in spaces.py only ``rowdot``
+    does."""
     found = {name: _einsum_calls(tree) for name, tree in _stepping_path_trees().items()}
+    spaces = ast.parse((SRC / "spaces.py").read_text())
+    found["spaces.py"] = [
+        f"{node.name}: {call}"
+        for node in spaces.body
+        if isinstance(node, ast.FunctionDef) and node.name != "rowdot"
+        for call in _einsum_calls(node)
+    ]
     assert found == {name: [] for name in found}
 
 
