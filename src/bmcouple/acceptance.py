@@ -79,8 +79,8 @@ def fixed_distance_columns(x, y):
     off the noise map column by column: J e_i = map(e_i, 0), K e_i = map(0, e_i)."""
     zero = np.zeros_like(x)
     units = [np.broadcast_to(u, x.shape) for u in np.eye(3)]
-    j = np.stack([_fixed_distance_noise(x, y, u, zero) for u in units], axis=-1)
-    k = np.stack([_fixed_distance_noise(x, y, zero, u) for u in units], axis=-1)
+    j = np.stack([_fixed_distance_noise(x.T, y.T, u.T, zero.T).T for u in units], axis=-1)
+    k = np.stack([_fixed_distance_noise(x.T, y.T, zero.T, u.T).T for u in units], axis=-1)
     return j, k
 
 
@@ -102,7 +102,8 @@ def algebra_suite(seed: int = 3001) -> dict:
         float(np.max(np.abs(rot.swapaxes(-1, -2) @ rot - eye))),
         float(np.max(np.abs(_rodrigues_apply(x, y, x) - y))),
     )
-    c, e = _aligned_direction(x, y)
+    c, e = _aligned_direction(x.T, y.T)
+    e = e.T
     worst_align = max(
         float(np.max(np.abs(np.sum(e * e, axis=-1) - 1.0))),
         float(np.max(np.abs(np.sum(x * e, axis=-1)))),

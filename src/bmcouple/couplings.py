@@ -298,23 +298,27 @@ class ExtrinsicExpandS2(Sphere2Strategy):
 
 
 def _aligned_direction(x: np.ndarray, y: np.ndarray):
-    """Per-path c = x.y and the unit tangent e at x with y = c x + sqrt(1-c^2) e.
+    """Per-path c = x.y and the unit tangent e at x with y = c x + sqrt(1-c^2) e,
+    on coordinate rows: x, y and e hold one row per coordinate over n paths.
 
     e is y - c x, projected off x once more and normalized by its computed
     norm, so it stays a unit vector orthogonal to x to machine precision even
     for nearly parallel pairs.
     """
-    c = rowdot(x, y)
+    c = rowdot(x.T, y.T)
     if (np.abs(c) >= 1.0 - 1e-10).any():
         raise DegenerateInputError("fixed-distance driver undefined at (anti)parallel points")
-    e = y - c[:, None] * x
-    e -= rowdot(e, x)[:, None] * x
-    e /= np.sqrt(rowdot(e, e))[:, None]
+    e = y - c * x
+    e -= rowdot(e.T, x.T) * x
+    e /= np.sqrt(rowdot(e.T, e.T))
     return c, e
 
 
 def _fixed_distance_noise(x: np.ndarray, y: np.ndarray, gp: np.ndarray, ga: np.ndarray) -> np.ndarray:
-    """Per-path driver increment J gp + K ga keeping |X - Y| constant.
+    """Per-path driver increment J gp + K ga keeping |X - Y| constant, on
+    coordinate rows: each argument and the result hold one row per
+    coordinate over n paths.  Row dots add in einsum's order (``rowdot``),
+    so the result is bitwise that of the same map on (n, 3) rows.
 
     J and K are the minimal-norm blocks in the frame O = (x, e, f = x cross e)
     (the equations they solve are in acceptance.fixed_distance_residuals).
@@ -330,25 +334,35 @@ def _fixed_distance_noise(x: np.ndarray, y: np.ndarray, gp: np.ndarray, ga: np.n
     """
     c, e = _aligned_direction(x, y)
     s = np.sqrt(1.0 - c * c)
-    resid = float(np.max(np.abs(rowdot(x, x) - 1.0)))
+    xt, et, gpt, gat = x.T, e.T, gp.T, ga.T
+    resid = float(np.max(np.abs(rowdot(xt, xt) - 1.0)))
     if resid > 1e-10:
         raise CouplingConstraintError(f"J J' + K K' deviates from I by {resid:.3e}")
-    lam = c * (rowdot(e, ga) - rowdot(x, gp)) - s * (rowdot(e, gp) + rowdot(x, ga))
-    return kendall_compose(c, s, gp, ga) + lam[:, None] * x
+    lam = c * (rowdot(et, gat) - rowdot(xt, gpt)) - s * (rowdot(et, gpt) + rowdot(xt, gat))
+    w = kendall_compose(c, s, gpt, gat)
+    w += lam[:, None] * xt
+    return w.T
 
 
 class FixedDistanceS2(Sphere2Strategy):
-    """Drive the second particle with J dB + K dC so the distance freezes."""
+    """Drive the second particle with J dB + K dC so the distance freezes.
+
+    The move copies its points and draws into coordinate rows, one
+    contiguous (3, n) array each, once per step, and both particles step on
+    them; the new points are (n, 3) views of coordinate rows, so the next
+    step copies only its draws."""
 
     strategy_id = "fixed-s2"
     aux_dim = 3
 
     def validate_start(self, x, y) -> None:
-        _aligned_direction(x, y)
+        _aligned_direction(x.T, y.T)
 
     def move(self, x, y, gp, ga, h, cache):
+        rows = np.ascontiguousarray
+        x, y, gp, ga = rows(x.T), rows(y.T), rows(gp.T), rows(ga.T)
         w = _fixed_distance_noise(x, y, gp, ga)
-        return stroock_step(x, gp, h), stroock_step(y, w, h), cache
+        return stroock_step(x.T, gp.T, h), stroock_step(y.T, w.T, h), cache
 
 
 # -- shared rotation-flow coupling -------------------------------------------------

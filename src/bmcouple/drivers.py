@@ -83,14 +83,17 @@ def _check_step_size(h) -> None:
 def stroock_step(x, noise, h) -> np.ndarray:
     """One projected Euler step of the ambient sphere SDE
     dX = (I - X X') dB - X dt, renormalized back onto the unit sphere; ``h``
-    is one step size or a (rows, 1) column of them."""
+    is one step size or a (rows, 1) column of them, and sqrt(h) noise has
+    the shape of the result.  The step is formed in place of its own
+    temporaries, never of x or noise: rows stepped in lockstep share views
+    of one draw.  On transposed coordinate rows the result is one too."""
     _check_step_size(h)
     x = np.asarray(x, float)
-    noise = np.asarray(noise, float)
-    scaled = np.sqrt(h) * noise
-    move = scaled - rowsum(x * scaled)[..., None] * x
-    out = x * (1.0 - h) + move
-    return out / np.sqrt(rowsum(out * out))[..., None]
+    out = np.sqrt(h) * np.asarray(noise, float)
+    out -= rowsum(x * out)[..., None] * x
+    out += x * (1.0 - h)
+    out /= np.sqrt(rowsum(out * out))[..., None]
+    return out
 
 
 def geodesic_walk_step(space: ModelSpace, x, noise, h) -> np.ndarray:

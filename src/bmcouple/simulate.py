@@ -164,8 +164,9 @@ class _Recorder:
 def _run_chunk(strategy, x0, y0, hs, n_steps, seed, path_ids, record_idx, snapshot_idx, stop=None):
     """Step the paths ``path_ids`` of one run (one worker thread's share) at
     each step size of ``hs``; ``n_steps``, ``record_idx`` and ``snapshot_idx``
-    hold one entry per step size.  Returns each step size's (rho, chord,
-    regime, snapshots).
+    hold one entry per step size, and ``x0`` and ``y0`` are one start point,
+    one per path or one set of them per step size.  Returns each step
+    size's (rho, chord, regime, snapshots).
 
     The chunk builds one ``NoiseStream`` and moves it from path to path: at
     a path's first window it is re-keyed to (seed, path id), and a path with
@@ -191,7 +192,8 @@ def _run_chunk(strategy, x0, y0, hs, n_steps, seed, path_ids, record_idx, snapsh
     point and step; its values at a step's end serve the next step.
     """
     n, m = len(path_ids), len(hs)
-    starts = [p if p.ndim == 1 else np.tile(p, (m, 1)) for p in (x0, y0)]
+    # row j n + p starts from start set j, or from path p's own start or the one start
+    starts = [np.broadcast_to(p, (m, n, p.shape[-1])).reshape(m * n, -1).copy() for p in (x0, y0)]
     state = strategy.initial_state(*starts, m * n)
     if stop is not None:
         f = (stop(state.x), stop(state.y))
@@ -339,7 +341,11 @@ def run_paths(
     one generator and re-keys it per path (``_run_chunk``), so the thread
     count sets only the speed.  By default it is one thread per
     ``PATHS_PER_THREAD`` paths, at least one and at most the CPU count.
-    ``x0`` and ``y0`` are one point each, or one row per path.
+    ``x0`` and ``y0`` are one point each, one row per path, or, with a
+    tuple ``h``, a (len(h), n_paths, ambient) array of start sets: set j
+    starts the rows that step at ``h[j]``, so the record of each is bitwise
+    that of its start set and step size run alone, and starts that share
+    the streams of one seed share their draws.
     """
     hs = (h,) if np.ndim(h) == 0 else tuple(h)
     if not hs:
@@ -362,14 +368,20 @@ def run_paths(
     record_idx = tuple(sorted(set(range(0, n + 1, record_stride)) | {n}) for n in n_steps)
     snapshot_idx = tuple({int(round(t / step)) for t in snapshot_times} for step in hs)
     x0, y0 = np.asarray(x0, float), np.asarray(y0, float)
-    if any(p.ndim > 1 and len(p) != n_paths for p in (x0, y0)):
-        raise DomainError(f"expected one start point or {n_paths} rows of them")
-    for step, n in zip(hs, n_steps):
-        strategy.validate_run(x0, y0, np.arange(n + 1) * step)
+    width = strategy.space.ambient_dim
+    shapes = [(width,), (n_paths, width)] + ([(len(hs), n_paths, width)] if np.ndim(h) else [])
+    if x0.shape not in shapes or y0.shape not in shapes:
+        sets = f", {len(hs)} sets of them" if np.ndim(h) else ""
+        raise DomainError(
+            f"expected one start point of {width} coordinates, {n_paths} rows of them{sets};"
+            f" got shapes {x0.shape} and {y0.shape}"
+        )
+    for j, (step, n) in enumerate(zip(hs, n_steps)):
+        strategy.validate_run(*(p[j] if p.ndim == 3 else p for p in (x0, y0)), np.arange(n + 1) * step)
 
     jobs = []
     for lo, hi in _chunk_ranges(n_paths, threads):
-        starts = [p if p.ndim == 1 else p[lo:hi] for p in (x0, y0)]
+        starts = [p if p.ndim == 1 else p[..., lo:hi, :] for p in (x0, y0)]
         jobs.append((strategy, *starts, hs, n_steps, seed, range(lo, hi), record_idx, snapshot_idx, stop))
     if len(jobs) == 1:
         results = [_run_chunk(*job) for job in jobs]

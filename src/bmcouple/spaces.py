@@ -145,6 +145,8 @@ class ModelSpace:
         return np.abs(self.metric_dot(x, x) + 1.0) + sheet
 
     def check_point(self, x) -> None:
+        if np.ndim(x) == 0 or np.shape(x)[-1] != self.ambient_dim:
+            raise DomainError(f"points need {self.ambient_dim} coordinates, got shape {np.shape(x)}")
         resid = np.max(self.constraint_residual(x)) if np.asarray(x).size else 0.0
         if resid > POINT_TOL:
             raise DomainError(f"point constraint residual {resid:.3e} exceeds {POINT_TOL}")

@@ -94,6 +94,33 @@ def fixed_distance_matrices(x, y) -> tuple[np.ndarray, np.ndarray]:
     return o @ jt @ o.T, o @ kt @ o.T
 
 
+def fixed_distance_move(x, y, gp, ga, h):
+    """The fixed-distance move as a formula on C-ordered (n, 3) rows: the
+    noise map J gp + K ga = c gp + s ga + lam x, then one projected Euler
+    step of each particle.  Dots are einsum's and sums numpy's reduction on
+    C-ordered rows, the operation order the library matches bitwise on any
+    layout (``rowdot``, ``rowsum``), with no check and no in-place update."""
+    x, y, gp, ga = (np.ascontiguousarray(a, dtype=float) for a in (x, y, gp, ga))
+
+    def dot(a, b):
+        return np.einsum("...j,...j->...", np.ascontiguousarray(a), np.ascontiguousarray(b))
+
+    def step(p, noise):
+        scaled = np.sqrt(h) * noise
+        move = scaled - np.add.reduce(p * scaled, axis=-1)[:, None] * p
+        out = p * (1.0 - h) + move
+        return out / np.sqrt(np.add.reduce(out * out, axis=-1))[:, None]
+
+    c = dot(x, y)
+    e = y - c[:, None] * x
+    e -= dot(e, x)[:, None] * x
+    e /= np.sqrt(dot(e, e))[:, None]
+    s = np.sqrt(1.0 - c * c)
+    lam = c * (dot(e, ga) - dot(x, gp)) - s * (dot(e, gp) + dot(x, ga))
+    w = c[:, None] * gp + s[:, None] * ga + lam[:, None] * x
+    return step(x, gp), step(y, w)
+
+
 def rotate_pairs_transposed(g, alpha) -> np.ndarray:
     """The transposed block rotation: component 0 is fixed and each pair
     (2i-1, 2i) of the rest turns by alpha, one row at a time."""

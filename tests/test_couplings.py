@@ -20,7 +20,7 @@ from bmcouple.couplings import (
     make_strategy,
     rotation_angle_cos,
 )
-from bmcouple.drivers import NoiseStream, StepNoise
+from bmcouple.drivers import NoiseStream, StepNoise, kendall_compose
 from bmcouple.errors import (
     CouplingConstraintError,
     CutLocusError,
@@ -41,6 +41,11 @@ def _noise_tangents(strategy, x, y, gp):
     """``RotationCoupling.noise_tangents`` on (n, ambient) rows: the pair
     (xi, eta) as one (2, n, ambient) array."""
     return np.moveaxis(strategy.noise_tangents(x.T, y.T, gp.T), 0, -1)
+
+
+def _fixed_noise(x, y, gp, ga):
+    """``_fixed_distance_noise`` of (n, 3) rows, through transposed views."""
+    return _fixed_distance_noise(x.T, y.T, gp.T, ga.T).T
 
 
 def _random_pairs(rng, n):
@@ -214,7 +219,7 @@ class TestFixedDistance:
         y = np.cos(rho) * x + np.sin(rho) * t
         gp, ga = rng.standard_normal((2, 200, 3))
         expected = self._oracle_noise(x, y, gp, ga)
-        assert np.max(np.abs(_fixed_distance_noise(x, y, gp, ga) - expected)) < 2e-15 / rho
+        assert np.max(np.abs(_fixed_noise(x, y, gp, ga) - expected)) < 2e-15 / rho
 
     @pytest.mark.parametrize("gap", [None, 1e-4, 1e-7, 2e-10], ids=["random", "1e-4", "1e-7", "2e-10"])
     def test_aligned_direction_is_a_unit_tangent_by_construction(self, gap):
@@ -227,7 +232,7 @@ class TestFixedDistance:
             t /= np.linalg.norm(t, axis=-1, keepdims=True)
             c = (1.0 - gap) * rng.choice([-1.0, 1.0], size=(2000, 1))
             y = c * x + np.sqrt(1.0 - c * c) * t
-        _, e = _aligned_direction(x, y)
+        e = _aligned_direction(x.T, y.T)[1].T
         assert np.max(np.abs(np.sum(x * e, axis=-1))) < 1e-12
         assert np.max(np.abs(np.linalg.norm(e, axis=-1) - 1.0)) < 1e-12
 
@@ -243,7 +248,63 @@ class TestFixedDistance:
         x, y = _random_pairs(np.random.default_rng(29), 4)
         y[2] = sign * x[2]
         with pytest.raises(DegenerateInputError):
-            _fixed_distance_noise(x, y, x, y)
+            _fixed_noise(x, y, x, y)
+
+    @staticmethod
+    def _move_inputs(n):
+        # the draws as views of one (n, 6) gather, as a stepping run hands them
+        rng = np.random.default_rng(40)
+        x, y = _random_pairs(rng, n)
+        gather = rng.standard_normal((n, 6))
+        return x, y, gather[:, :3], gather[:, 3:]
+
+    @pytest.mark.parametrize("column", [False, True], ids=["float-h", "h-column"])
+    def test_move_keeps_its_rows_apart_and_leaves_its_inputs_alone(self, column):
+        n = 600
+        x, y, gp, ga = self._move_inputs(n)
+        h = np.random.default_rng(41).uniform(1e-4, 1e-2, (n, 1)) if column else 3e-3
+        strategy = make_strategy("fixed-s2", S2)
+
+        def bits(arrays):
+            return [a.tobytes() for a in arrays]  # C-order bytes, whatever the layout
+
+        # a second move takes the first's points, which are coordinate rows already
+        for step in range(2):
+            given = bits((x, y, gp, ga))
+            moved = strategy.move(x, y, gp, ga, h, {})[:2]
+            assert bits((x, y, gp, ga)) == given
+            assert bits(moved) == bits(sm.fixed_distance_move(x.copy(), y.copy(), gp, ga, h))
+            for width in (1, 96):
+                for lo in range(0, n, width):
+                    rows = slice(lo, lo + width)
+                    part = strategy.move(x[rows], y[rows], gp[rows], ga[rows], h if np.ndim(h) == 0 else h[rows], {})
+                    assert bits(part[:2]) == bits(a[rows] for a in moved)
+            x, y = moved
+            gp, ga = gp[::-1], ga[::-1]
+
+    def test_each_move_check_raises_on_one_bad_row(self):
+        x, y, gp, ga = self._move_inputs(600)
+        strategy = make_strategy("fixed-s2", S2)
+        strategy.move(x, y, gp, ga, 1e-3, {})
+        for sign in (1.0, -1.0):  # |c| >= 1 - 1e-10
+            bad = y.copy()
+            bad[300] = sign * x[300]
+            with pytest.raises(DegenerateInputError):
+                strategy.move(x, bad, gp, ga, 1e-3, {})
+        bad = x.copy()  # |x|^2 - 1 > 1e-10
+        bad[300] *= 1.0 + 1e-9
+        with pytest.raises(CouplingConstraintError):
+            strategy.move(bad, y, gp, ga, 1e-3, {})
+        for h in (0.0, np.where(np.arange(600) == 300, 0.0, 1e-3)[:, None]):  # h > 0
+            with pytest.raises(DomainError, match="step size must be positive"):
+                strategy.move(x, y, gp, ga, h, {})
+        # c^2 + s^2 = 1: the move forms s = sqrt(1 - c^2), so the weights are
+        # handed to kendall_compose as the move hands them, on coordinate rows
+        c = np.cos(np.linspace(0.1, 3.0, 600))
+        s = np.sqrt(1.0 - c * c)
+        s[300] += 1e-9
+        with pytest.raises(CouplingConstraintError):
+            kendall_compose(c, s, np.ascontiguousarray(gp.T).T, np.ascontiguousarray(ga.T).T)
 
     def test_batched_rodrigues_matches_scalar(self):
         from smallmat import rodrigues_rotation

@@ -106,6 +106,21 @@ class TestStroockStep:
         se = np.std(x[:, 0], ddof=1) / np.sqrt(n)
         assert abs(est - np.exp(-1.0)) < 3 * se
 
+    @pytest.mark.parametrize("h", [1e-3, np.linspace(1e-4, 1e-2, 50)[:, None]], ids=["float-h", "h-column"])
+    def test_leaves_its_inputs_alone(self, h):
+        # rows stepped in lockstep share views of one draw: two calls on one
+        # noise view step as calls on copies of it, and neither writes to it
+        rng = np.random.default_rng(43)
+        gather = rng.standard_normal((50, 6))
+        noise = gather[:, 3:]
+        x = rng.standard_normal((2, 50, 3))
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        given = gather.copy(), x.copy()
+        out = [stroock_step(p, noise, h) for p in (x[0], x[1], x[0].T.copy().T)]
+        assert np.array_equal(gather, given[0]) and np.array_equal(x, given[1])
+        expected = [stroock_step(p.copy(), noise.copy(), h) for p in (x[0], x[1], x[0])]
+        assert [a.tobytes() for a in out] == [a.tobytes() for a in expected]
+
     def test_bad_step_size(self):
         with pytest.raises(DomainError):
             stroock_step(np.array([1.0, 0, 0]), np.zeros(3), 0.0)
@@ -187,7 +202,8 @@ class TestKendallCompose:
         n = 100_000
         x = np.tile([1.0, 0.0, 0.0], (n, 1))
         y = np.tile([np.cos(1.0), np.sin(1.0), 0.0], (n, 1))
-        out = _fixed_distance_noise(x, y, rng.standard_normal((n, 3)), rng.standard_normal((n, 3)))
+        gp, ga = rng.standard_normal((2, n, 3))
+        out = _fixed_distance_noise(x.T, y.T, gp.T, ga.T).T
         cov = out.T @ out / n
         # covariance entries have standard error about sqrt(2/n)
         assert np.max(np.abs(cov - np.eye(3))) < 3 * np.sqrt(2.0 / n)

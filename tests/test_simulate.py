@@ -483,13 +483,27 @@ def test_start_outside_the_stop_domain_is_rejected():
         {"h": 0.5},  # one step past the horizon
         {"h": (4e-3, 0.5)},
         {"h": (4e-3, 0.0)},
+        # start points: 4 coordinates on the 2-sphere ran to the end under
+        # independent and raised a bare ValueError part way in the others
+        {"x0": np.append(S2.base_point(), 0.0)},
+        {"y0": S2.point_at_distance(1.0)[:2]},
+        {"x0": np.tile(np.append(S2.base_point(), 0.0), (4, 1))},
+        {"x0": np.float64(1.0)},
+        {"x0": np.tile(S2.base_point(), (2, 4, 1))},  # start sets need a tuple of step sizes
+        {"x0": np.tile(S2.base_point(), (2, 2, 1)), "n_paths": 2},
+        {"x0": np.tile(S2.base_point(), (3, 4, 1)), "h": (4e-3, 2e-3)},  # 3 sets for 2 step sizes
+        {"y0": np.tile(S2.point_at_distance(1.0), (2, 3, 1)), "h": (4e-3, 2e-3)},  # 3 rows for 4 paths
+        {"x0": np.tile(S2.base_point(), (1, 2, 4, 1)), "h": (4e-3, 2e-3)},
     ],
 )
 def test_bad_sampling_arguments_are_rejected(monkeypatch, kwargs):
     monkeypatch.setattr(simulate, "_run_chunk", lambda *job: pytest.fail("a chunk ran"))
-    args = dict(h=4e-3, t_final=0.2, n_paths=4, seed=1) | kwargs
-    with pytest.raises(DomainError):
-        run_paths(make_strategy("fixed-s2", S2), S2.base_point(), S2.point_at_distance(1.0), **args)
+    monkeypatch.setattr(NoiseStream, "standard_normal", lambda *args, **kw: pytest.fail("noise was drawn"))
+    args = dict(x0=S2.base_point(), y0=S2.point_at_distance(1.0), h=4e-3, t_final=0.2, n_paths=4, seed=1) | kwargs
+    x0, y0 = args.pop("x0"), args.pop("y0")
+    for strategy_id in ("independent", "fixed-s2", "so3-flow", "mirror-s2"):
+        with pytest.raises(DomainError):
+            run_paths(make_strategy(strategy_id, S2), x0, y0, **args)
 
 
 # -- step-size tuples -------------------------------------------------------------------
@@ -537,6 +551,34 @@ def test_step_size_tuple_gives_each_step_size_its_record_alone(monkeypatch, case
         assert 0 < np.count_nonzero(np.any(record.snapshots[0.1][0] != free.snapshots[0.1][0], axis=1)) < 10
     if case == "patched-rotation":
         assert all(np.any(record.regime == 1) and np.any(record.regime == 0) for record in together)
+
+
+@pytest.mark.parametrize("stop", [None, _band_stop], ids=["free", "stopped"])
+@pytest.mark.parametrize("chunks", [1, 2])
+@pytest.mark.parametrize("hs", [(2e-3, 2e-3), (2e-3, 5e-3)], ids=["same-h", "other-h"])
+@pytest.mark.parametrize("case", ["fixed-s2", "rotation", "patched-rotation", "translation"])
+def test_start_sets_give_each_row_set_the_record_of_its_solo_run(monkeypatch, case, hs, chunks, stop):
+    strategy, space, rhos = _tuple_cases()[case]
+    monkeypatch.setattr(simulate, "PATHS_PER_THREAD", 10 // chunks)
+    # set 0 starts every x at the pole; set 1 gives each path its own x, and
+    # its y at the distances of set 0 in reverse order
+    x0 = np.stack([np.tile(space.base_point(), (10, 1)), [space.point_at_distance(-0.02 * p) for p in range(10)]])
+    y0 = np.stack([[space.point_at_distance(rho) for rho in rhos], [space.point_at_distance(rho) for rho in rhos[::-1]]])
+
+    def run(x, y, h, stop=stop):
+        return run_paths(strategy, x, y, h=h, t_final=0.1, n_paths=10, seed=23, record_stride=3,
+                         snapshot_times=(0.05, 0.1), stop=stop)
+
+    together = run(x0, y0, hs)
+    assert isinstance(together, tuple) and len(together) == 2
+    for j, record in enumerate(together):
+        alone = run(x0[j], y0[j], hs[j])
+        assert record.h == alone.h == hs[j]
+        assert _bits(record) == _bits(alone)
+        assert list(record.snapshots) == list(alone.snapshots)
+    if stop is not None:  # the stop ends some paths of each set and not others
+        for record, free in zip(together, run(x0, y0, hs, stop=None)):
+            assert 0 < np.count_nonzero(np.any(record.snapshots[0.1][0] != free.snapshots[0.1][0], axis=1)) < 10
 
 
 def test_step_size_tuple_draws_the_normals_of_its_finest_step_alone(monkeypatch):

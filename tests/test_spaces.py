@@ -278,6 +278,11 @@ class TestConstraints:
         with pytest.raises(DomainError):
             h2.check_point(np.array([-1.0, 0.0, 0.0]))  # wrong sheet
 
+    @pytest.mark.parametrize("points", [np.zeros(4), np.zeros((5, 2)), np.float64(1.0), np.zeros((2, 3, 4))])
+    def test_points_of_another_coordinate_count_are_rejected(self, points):
+        with pytest.raises(DomainError, match="3 coordinates"):
+            ModelSpace.sphere(2).check_point(points)
+
     def test_projection_restores_constraint(self):
         rng = np.random.default_rng(6)
         for space in SPACES:
