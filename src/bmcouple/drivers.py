@@ -29,29 +29,44 @@ class NoiseStream:
     """Reproducible Gaussian stream identified by a 64-bit seed and a stream id.
 
     Philox is counter-based, so one generator serves many streams: ``rekey``
-    moves it to the start of another stream and ``state`` reads or writes its
-    position (with the unused words of its last Philox block).  Either way it
-    draws what a generator built on that key draws, without the build.
+    moves it to the start of another stream, ``tell`` writes its position
+    into ``POSITION_WORDS`` words of a uint64 array (the Philox counter and
+    the unused words of its last block), and ``seek`` resumes a stream from
+    such a position.  Either way it draws what a generator built on that key
+    draws, without the build.
     """
+
+    POSITION_WORDS = 11
 
     def __init__(self, seed: int, stream_id: int = 0):
         self._bitgen = np.random.Philox(key=stream_keys(seed, [stream_id])[0])
         self._gen = np.random.Generator(self._bitgen)
-        self._start = self._bitgen.state  # a re-key swaps only its key
+        self._state = self._bitgen.state  # each seek rewrites it
+        self._origin = np.empty(self.POSITION_WORDS, dtype=np.uint64)
+        self.tell(self._origin)
 
     def rekey(self, key) -> None:
         """Restart at the beginning of the stream with Philox key ``key``
         (a row of ``stream_keys``)."""
-        self._start["state"]["key"] = key
-        self._bitgen.state = self._start
+        self.seek(key, self._origin)
 
-    @property
-    def state(self) -> dict:
-        return self._bitgen.state
+    def tell(self, out) -> None:
+        """Write the position in the stream into the uint64 array ``out`` of
+        ``POSITION_WORDS`` words."""
+        state = self._bitgen.state
+        out[:4] = state["state"]["counter"]
+        out[4:8] = state["buffer"]
+        out[8:] = state["buffer_pos"], state["has_uint32"], state["uinteger"]
 
-    @state.setter
-    def state(self, value: dict) -> None:
-        self._bitgen.state = value
+    def seek(self, key, position) -> None:
+        """Continue the stream with Philox key ``key`` from the ``position``
+        that ``tell`` wrote."""
+        words, state = position.tolist(), self._state
+        state["state"]["key"] = key
+        state["state"]["counter"] = words[:4]
+        state["buffer"] = words[4:8]
+        state["buffer_pos"], state["has_uint32"], state["uinteger"] = words[8:]
+        self._bitgen.state = state
 
     def standard_normal(self, shape=None, out=None) -> np.ndarray:
         """Next standard normals of the stream, as a new array of ``shape`` or

@@ -11,6 +11,7 @@ import heapq
 import itertools
 import math
 import mmap
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -161,32 +162,36 @@ class _Recorder:
             self.flushed = self.pos
 
 
-def _run_chunk(strategy, x0, y0, hs, n_steps, seed, path_ids, record_idx, snapshot_idx, stop=None):
+def _run_chunk(strategy, x0, y0, hs, n_steps, seeds, path_ids, record_idx, snapshot_idx, stop=None):
     """Step the paths ``path_ids`` of one run (one worker thread's share) at
-    each step size of ``hs``; ``n_steps``, ``record_idx`` and ``snapshot_idx``
-    hold one entry per step size, and ``x0`` and ``y0`` are one start point,
-    one per path or one set of them per step size.  Returns each step
-    size's (rho, chord, regime, snapshots).
+    each step size of ``hs``; ``n_steps``, ``seeds``, ``record_idx`` and
+    ``snapshot_idx`` hold one entry per step size, and ``x0`` and ``y0`` are
+    one start point, one per path or one set of them per step size.
+    Returns each step size's (rho, chord, regime, snapshots).
 
-    The chunk builds one ``NoiseStream`` and moves it from path to path: at
-    a path's first window it is re-keyed to (seed, path id), and a path with
-    a later window keeps the stream's state until that window.  So each path
-    draws the stream it would draw alone, whatever the chunking.
+    The chunk builds one ``NoiseStream`` and moves it from stream to
+    stream: at a stream's first window it is re-keyed to (seed, path id),
+    and a stream with a later window keeps its position, in one row of
+    ``positions``, until that window.  So each stream is drawn as it would
+    be alone, whatever the chunking.
 
     Each path gets one row per step size, row j n + p for path p at
-    ``hs[j]``, and all rows step in lockstep by step index: path p's rows
-    read the same normals of its stream, drawn once, to the longest step
-    count.  With one step size, ``h`` stays a float and the rows are the
-    paths; with more, moves get a (rows, 1) column of step sizes.
+    ``hs[j]``, and all rows step in lockstep by step index.  Row j n + p
+    reads the stream (``seeds[j]``, p), and the rows on one stream read the
+    same normals of it, drawn once, to the longest step count among them.
+    With one step size, ``h`` stays a float and the rows are the paths; with
+    more, moves get a (rows, 1) column of step sizes.  A window holds
+    ``NOISE_WINDOW`` steps over the number of distinct seeds, so the noise
+    block takes no more memory than with one seed.
 
     While every row runs, the chunk's state is stepped whole.  Once rows
     stop, or a step size takes its last step, a working state holds only
     the running rows, in order: such a step writes the leaving rows into
     the chunk's state and drops them from the working state with one
-    gather.  ``sel`` maps the working rows to their paths' rows of the noise
-    block, which holds the paths with a running row at the window start;
-    with one step size it is None until rows stop, and the noise of a step
-    is a view of the block.  A step size whose rows all run records from
+    gather.  ``sel`` maps the working rows to their streams' rows of the
+    noise block, which holds the streams with a running row at the window
+    start; with one step size it is None until rows stop, and the noise of
+    a step is a view of the block.  A step size whose rows all run records from
     the working state; the working state is written back only at the record
     and snapshot steps of the others.  The stop function is called once per
     point and step; its values at a step's end serve the next step.
@@ -202,15 +207,17 @@ def _run_chunk(strategy, x0, y0, hs, n_steps, seed, path_ids, record_idx, snapsh
     p_dim = strategy.primary_dim
     a_dim = strategy.aux_dim
     total = p_dim + a_dim
-    keys = stream_keys(seed, path_ids)
-    stream = NoiseStream(seed, path_ids[0])
-    positions = [None] * n  # each path's stream state between its windows
+    # the streams of the distinct seeds: g n + p for path p on seed g
+    distinct = list(dict.fromkeys(seeds))
+    keys = np.concatenate([stream_keys(seed, path_ids) for seed in distinct])
+    stream = NoiseStream(seeds[0], path_ids[0])
     work, rows = state, np.arange(m * n)  # the running rows of the state, and their rows in it
     n_max = max(n_steps)
     ends = set(n_steps) - {n_max}  # the steps after which a step size's rows leave
     if m == 1:
         h = hs[0]
-    else:  # the working rows' step sizes, and the steps after which they leave
+    else:  # the rows' streams, the working rows' step sizes, and the steps after which they leave
+        streams = np.repeat([distinct.index(seed) for seed in seeds], n) * n + np.tile(np.arange(n), m)
         h, last = np.repeat(np.asarray(hs, float), n)[:, None], np.repeat(n_steps, n)
 
     width = state.x.shape[-1]
@@ -223,34 +230,35 @@ def _run_chunk(strategy, x0, y0, hs, n_steps, seed, path_ids, record_idx, snapsh
         rec.record(state, rec.part)
     due = min(rec.next for rec in recorders)  # the next step that any of them samples
     step = 0
-    max_window = max(1, min(NOISE_WINDOW, NOISE_BUDGET // max(1, n * total), n_max))
+    max_window = max(1, min(NOISE_WINDOW // len(distinct), NOISE_BUDGET // max(1, len(keys) * total), n_max))
     # on pages of its own, given back to the system when the chunk ends: on the heap, a
     # later run's buffer could miss the hole this one left and add to the peak memory.
     # On Linux they are private, with the huge-page advice numpy gives large arrays.
     linux = hasattr(mmap, "MADV_HUGEPAGE")
-    mem = mmap.mmap(-1, n * max_window * total * 8, **({"flags": mmap.MAP_PRIVATE} if linux else {}))
+    mem = mmap.mmap(-1, len(keys) * max_window * total * 8, **({"flags": mmap.MAP_PRIVATE} if linux else {}))
     if linux:
         mem.madvise(mmap.MADV_HUGEPAGE)
-    buffer = np.frombuffer(mem).reshape(n, max_window, total)
+    buffer = np.frombuffer(mem).reshape(len(keys), max_window, total)
+    positions = np.empty((len(keys), NoiseStream.POSITION_WORDS), dtype=np.uint64)  # between windows
     while step < n_max and rows.size:
-        # noise only for the paths with a running row at the window start,
+        # noise only for the streams with a running row at the window start,
         # filled in place into the front of the chunk's one buffer by the
-        # chunk's one stream, moved from path to path
+        # chunk's one generator, moved from stream to stream
         window = min(max_window, n_max - step)
         later = step + window < n_max
         if m == 1:
             live, sel = rows, None
         else:
-            live, sel = np.unique(rows % n, return_inverse=True)
+            live, sel = np.unique(streams[rows], return_inverse=True)
         block = buffer[: live.size, :window]
-        for row, pid in enumerate(live):
+        for row, sid in enumerate(live):
             if step == 0:
-                stream.rekey(keys[pid])
+                stream.rekey(keys[sid])
             else:
-                stream.state = positions[pid]
+                stream.seek(keys[sid], positions[sid])
             stream.standard_normal(out=block[row])
             if later:
-                positions[pid] = stream.state
+                stream.tell(positions[sid])
         for i in range(window):
             drawn = block[:, i] if sel is None else block[sel, i]
             noise = StepNoise(primary=drawn[:, :p_dim], auxiliary=drawn[:, p_dim:] if a_dim else None)
@@ -309,7 +317,7 @@ def run_paths(
     h,
     t_final: float,
     n_paths: int,
-    seed: int,
+    seed,
     record_stride: int = 1,
     snapshot_times=(),
     threads: int | None = None,
@@ -338,14 +346,17 @@ def run_paths(
     measures its chords, and rho is derived from them.  The records do not
     depend on the budget.
     Path p draws the Philox stream keyed (seed, p); each worker thread builds
-    one generator and re-keys it per path (``_run_chunk``), so the thread
-    count sets only the speed.  By default it is one thread per
+    one generator and moves it from stream to stream (``_run_chunk``), so
+    the thread count sets only the speed.  By default it is one thread per
     ``PATHS_PER_THREAD`` paths, at least one and at most the CPU count.
     ``x0`` and ``y0`` are one point each, one row per path, or, with a
     tuple ``h``, a (len(h), n_paths, ambient) array of start sets: set j
     starts the rows that step at ``h[j]``, so the record of each is bitwise
     that of its start set and step size run alone, and starts that share
-    the streams of one seed share their draws.
+    the streams of one seed share their draws.  ``seed`` is one integer or,
+    with a tuple ``h``, a tuple of one per step size: the rows at ``h[j]``
+    draw the streams (``seed[j]``, p), and the record of each is bitwise
+    that of its run alone at its own seed.
     """
     hs = (h,) if np.ndim(h) == 0 else tuple(h)
     if not hs:
@@ -358,6 +369,11 @@ def run_paths(
         raise DomainError(f"step size {max(hs)} exceeds the horizon {t_final}")
     if n_paths < 1:
         raise DomainError("need at least one path")
+    seeds = (seed,) * len(hs) if np.ndim(seed) == 0 else tuple(seed)
+    if (np.ndim(seed) and np.ndim(h) == 0) or len(seeds) != len(hs):
+        raise DomainError(f"need one seed, or with a tuple of {len(hs)} step sizes one per step size; got {seed!r}")
+    if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in seeds):
+        raise DomainError(f"seeds must be integers, got {seed!r}")
     if threads is None:
         threads = min(max(1, n_paths // PATHS_PER_THREAD), os.cpu_count() or 1)
     if record_stride < 1 or threads < 1:
@@ -382,7 +398,7 @@ def run_paths(
     jobs = []
     for lo, hi in _chunk_ranges(n_paths, threads):
         starts = [p if p.ndim == 1 else p[..., lo:hi, :] for p in (x0, y0)]
-        jobs.append((strategy, *starts, hs, n_steps, seed, range(lo, hi), record_idx, snapshot_idx, stop))
+        jobs.append((strategy, *starts, hs, n_steps, seeds, range(lo, hi), record_idx, snapshot_idx, stop))
     if len(jobs) == 1:
         results = [_run_chunk(*job) for job in jobs]
     else:

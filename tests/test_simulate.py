@@ -1,3 +1,4 @@
+import inspect
 import io
 
 import numpy as np
@@ -494,6 +495,15 @@ def test_start_outside_the_stop_domain_is_rejected():
         {"x0": np.tile(S2.base_point(), (3, 4, 1)), "h": (4e-3, 2e-3)},  # 3 sets for 2 step sizes
         {"y0": np.tile(S2.point_at_distance(1.0), (2, 3, 1)), "h": (4e-3, 2e-3)},  # 3 rows for 4 paths
         {"x0": np.tile(S2.base_point(), (1, 2, 4, 1)), "h": (4e-3, 2e-3)},
+        # seeds: int() truncated 1.7 to 1 and ran True as 1
+        {"seed": 1.7},
+        {"seed": True},
+        {"seed": np.float64(2.0)},
+        {"seed": (1,)},  # a seed tuple needs a tuple of step sizes
+        {"seed": (1, 2.5), "h": (4e-3, 2e-3)},
+        {"seed": (1, np.True_), "h": (4e-3, 2e-3)},
+        {"seed": (1, 2, 3), "h": (4e-3, 2e-3)},
+        {"seed": (1,), "h": (4e-3, 2e-3)},
     ],
 )
 def test_bad_sampling_arguments_are_rejected(monkeypatch, kwargs):
@@ -560,24 +570,40 @@ def test_step_size_tuple_gives_each_step_size_its_record_alone(monkeypatch, case
 def test_start_sets_give_each_row_set_the_record_of_its_solo_run(monkeypatch, case, hs, chunks, stop):
     strategy, space, rhos = _tuple_cases()[case]
     monkeypatch.setattr(simulate, "PATHS_PER_THREAD", 10 // chunks)
+    # windows of 7, 3 and 2 steps for 1, 2 and 3 seeds: each stream is
+    # drawn in many windows, with others between them
+    monkeypatch.setattr(simulate, "NOISE_WINDOW", 7)
     # set 0 starts every x at the pole; set 1 gives each path its own x, and
-    # its y at the distances of set 0 in reverse order
-    x0 = np.stack([np.tile(space.base_point(), (10, 1)), [space.point_at_distance(-0.02 * p) for p in range(10)]])
-    y0 = np.stack([[space.point_at_distance(rho) for rho in rhos], [space.point_at_distance(rho) for rho in rhos[::-1]]])
+    # its y at the distances of set 0 in reverse order; set 2 starts from
+    # the pole at the distances of set 0 rolled by five paths
+    x0 = np.stack([np.tile(space.base_point(), (10, 1)), [space.point_at_distance(-0.02 * p) for p in range(10)],
+                   np.tile(space.base_point(), (10, 1))])
+    y0 = np.stack([[space.point_at_distance(rho) for rho in rhos], [space.point_at_distance(rho) for rho in rhos[::-1]],
+                   [space.point_at_distance(rho) for rho in np.roll(rhos, 5)]])
+    alone = {}
 
-    def run(x, y, h, stop=stop):
-        return run_paths(strategy, x, y, h=h, t_final=0.1, n_paths=10, seed=23, record_stride=3,
+    def run(x, y, h, seed=23, stop=stop):
+        return run_paths(strategy, x, y, h=h, t_final=0.1, n_paths=10, seed=seed, record_stride=3,
                          snapshot_times=(0.05, 0.1), stop=stop)
 
-    together = run(x0, y0, hs)
-    assert isinstance(together, tuple) and len(together) == 2
-    for j, record in enumerate(together):
-        alone = run(x0[j], y0[j], hs[j])
-        assert record.h == alone.h == hs[j]
-        assert _bits(record) == _bits(alone)
-        assert list(record.snapshots) == list(alone.snapshots)
+    # one seed for both sets; a seed each; and sets 0 and 2 on one seed, at
+    # step sizes that differ in the other-h case, with set 1 on another
+    for seed in (23, (23, 24), (24, 23, 24)):
+        seeds = (seed, seed) if np.ndim(seed) == 0 else seed
+        sets, steps = len(seeds), (*hs, hs[1])[: len(seeds)]
+        together = run(x0[:sets], y0[:sets], steps, seed=seed)
+        assert isinstance(together, tuple) and len(together) == sets
+        for j, record in enumerate(together):
+            if (j, seeds[j], steps[j]) not in alone:
+                alone[j, seeds[j], steps[j]] = run(x0[j], y0[j], steps[j], seed=seeds[j])
+            solo = alone[j, seeds[j], steps[j]]
+            assert record.h == solo.h == steps[j]
+            assert _bits(record) == _bits(solo)
+            assert list(record.snapshots) == list(solo.snapshots)
+    # sets on different seeds see different noise
+    assert _bits(alone[0, 23, hs[0]]) != _bits(alone[0, 24, hs[0]])
     if stop is not None:  # the stop ends some paths of each set and not others
-        for record, free in zip(together, run(x0, y0, hs, stop=None)):
+        for record, free in zip(together, run(x0, y0, (*hs, hs[1]), seed=seeds, stop=None)):
             assert 0 < np.count_nonzero(np.any(record.snapshots[0.1][0] != free.snapshots[0.1][0], axis=1)) < 10
 
 
@@ -594,12 +620,52 @@ def test_step_size_tuple_draws_the_normals_of_its_finest_step_alone(monkeypatch)
     monkeypatch.setattr(NoiseStream, "standard_normal", counting)
     strategy = make_strategy("fixed-s2", S2)
 
-    def normals(h):
+    def normals(h, seed=2):
         drawn.clear()
-        run_paths(strategy, S2.base_point(), S2.point_at_distance(1.0), h=h, t_final=0.1, n_paths=7, seed=2)
+        run_paths(strategy, S2.base_point(), S2.point_at_distance(1.0), h=h, t_final=0.1, n_paths=7, seed=seed)
         return sum(drawn)
 
     assert normals(TUPLE_HS) == normals(min(TUPLE_HS)) == 7 * 100 * (3 + 3)
+    # with a seed per step size, each (seed, path) stream is drawn once, to
+    # the longest step count on it: 100 steps on seed 2 and 40 on seed 5
+    # (a whole number of the two-seed run's windows of 8 steps)
+    hs, seeds = (2e-3, 2.5e-3, 1e-3), (2, 5, 2)
+    assert normals(hs, seeds) == normals((2e-3, 1e-3), 2) + normals(2.5e-3, 5) == 7 * (100 + 40) * (3 + 3)
+    assert normals(hs, (2, 2, 2)) == normals(hs, 2) == 7 * 100 * (3 + 3)
+
+
+def test_seed_tuple_maps_no_larger_noise_buffer(monkeypatch):
+    # the window shortens with the number of distinct seeds, so a chunk's
+    # mapped noise buffer is no larger than the one-seed run's
+    sizes = []
+    mapped = simulate.mmap.mmap
+
+    def recording(fileno, length, *args, **kwargs):
+        sizes.append(length)
+        return mapped(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(simulate.mmap, "mmap", recording)
+    strategy = make_strategy("fixed-s2", S2)
+    for seed in (2, (2, 3, 3), (3, 2, 3), (2, 3, 4)):
+        run_paths(strategy, S2.base_point(), S2.point_at_distance(1.0), h=(1e-3, 1e-3, 1e-3), t_final=0.3,
+                  n_paths=30, seed=seed)
+    assert sizes[0] == 30 * simulate.NOISE_WINDOW * 6 * 8
+    assert sizes[1:] == [30 * 2 * (simulate.NOISE_WINDOW // 2) * 6 * 8] * 2 + [30 * 3 * (simulate.NOISE_WINDOW // 3) * 6 * 8]
+    assert max(sizes) == sizes[0]
+
+
+def test_run_chunk_takes_its_path_ids_at_position_6(monkeypatch):
+    # perfbench/layers.install counts the paths of a chunk as len(args[6])
+    # of _run_chunk's call, a private contract this pins
+    params = list(inspect.signature(simulate._run_chunk).parameters.values())
+    assert [p.name for p in params[:7]] == ["strategy", "x0", "y0", "hs", "n_steps", "seeds", "path_ids"]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params[:7])
+    counts = []
+    run_chunk = simulate._run_chunk
+    monkeypatch.setattr(simulate, "_run_chunk", lambda *args: counts.append(len(args[6])) or run_chunk(*args))
+    run_paths(make_strategy("fixed-s2", S2), S2.base_point(), S2.point_at_distance(1.0), h=1e-2, t_final=0.1,
+              n_paths=7, seed=1, threads=3)
+    assert sorted(counts) == [1, 3, 3]
 
 
 @pytest.mark.parametrize("threads", [1, 3])

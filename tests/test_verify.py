@@ -278,6 +278,13 @@ class TestCapHarmonic:
             max_principle_demo(2.0, 1, n_paths=10)
         with pytest.raises(DomainError):
             max_principle_demo(0.8, 0, n_paths=10)
+        # Re(w^1.5) has a kink along the branch cut x < 0, y = 0, which
+        # crosses the cap: it is not harmonic there
+        for n in (1.5, 2.0):
+            with pytest.raises(DomainError, match="integer"):
+                max_principle_demo(0.8, n, n_paths=10)
+            with pytest.raises(DomainError, match="integer"):
+                cap_harmonic(n)
         # one path has no standard error: no z-score is reported for it
         with pytest.raises(DomainError, match="at least 2 paths"):
             max_principle_demo(0.8, 1, n_paths=1)
