@@ -219,7 +219,8 @@ class MirrorS2(Sphere2Strategy):
         # mirror plane was crossed during this step
         crossed = rowsum(x_new * normal) < 0.0
         glued_new = glued | crossed
-        y_new = np.where(glued_new[:, None], x_new, y_new)
+        if glued_new.any():
+            y_new = np.where(glued_new[:, None], x_new, y_new)
         return x_new, y_new, {"glued": glued_new}
 
 
@@ -244,26 +245,30 @@ def _rodrigues_apply(x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     sine of the angle) by the angle between x and y.  Near-antiparallel pairs
     (x.y < -0.5) apply the same rotation as the product of two reflections,
     without the ill-conditioned 1/(1+c) term; (anti)parallel pairs get the
-    +/-I limits.
+    +/-I limits.  Each of these rare forms is computed only when some row
+    takes it; every row gets the arithmetic of its own case whatever its
+    batch.
     """
     c = rowsum(x * y)[..., None]
     xv = rowsum(x * v)[..., None]
     far = c < -0.5
+    any_far = far.any()
+    denom = 1.0 + c
+    if any_far:
+        np.copyto(denom, 1.0, where=far)
     u = _cross(x, y)
-    general = (
-        c * v
-        + xv * y
-        - rowsum(y * v)[..., None] * x
-        + rowsum(u * v)[..., None] / np.where(far, 1.0, 1.0 + c) * u
-    )
-    mid = x + y
-    mid_norm = _row_norms(mid)
-    mid /= np.where(mid_norm > 0.0, mid_norm, 1.0)
-    w = v - 2.0 * xv * x
-    reflected = w - 2.0 * rowsum(mid * w)[..., None] * mid
-    out = np.where(far, reflected, general)
-    out = np.where(c >= 1.0 - 1e-12, v, out)
-    return np.where(c <= -1.0 + 1e-12, -v, out)
+    out = c * v + xv * y - rowsum(y * v)[..., None] * x + rowsum(u * v)[..., None] / denom * u
+    if any_far:
+        mid = x + y
+        mid_norm = _row_norms(mid)
+        mid /= np.where(mid_norm > 0.0, mid_norm, 1.0)
+        w = v - 2.0 * xv * x
+        out = np.where(far, w - 2.0 * rowsum(mid * w)[..., None] * mid, out)
+        np.copyto(out, -v, where=c <= -1.0 + 1e-12)  # antiparallel rows are far
+    parallel = c >= 1.0 - 1e-12
+    if parallel.any():
+        np.copyto(out, v, where=parallel)
+    return out
 
 
 class ExtrinsicContractS2(Sphere2Strategy):
@@ -631,7 +636,9 @@ class RotationCoupling(CouplingStrategy):
             coef[1:] += u[2:]
         w0 = 1.0 - coef[0]
         w2 = w0 * w0 + rowdot(coef[1:].T, coef[1:].T)
-        two_w2 = np.where(w2 > 1e-24, 2.0 / np.maximum(w2, 1e-300), 0.0)
+        # a degenerate Householder (w2 ~ 0) is the identity; without one, 2 / w2
+        regular = w2 > 1e-24  # is bitwise the clamped quotient
+        two_w2 = 2.0 / w2 if regular.all() else np.where(regular, 2.0 / np.maximum(w2, 1e-300), 0.0)
 
         # the perpendicular noise, then its pairs turned by alpha (the drive
         # dimension is odd, so they pair up); an even dimension drops the

@@ -25,9 +25,10 @@ from .errors import DomainError
 NOISE_WINDOW = 256  # max steps of noise pre-generated per path chunk
 NOISE_BUDGET = 25_000_000  # max pre-generated doubles per chunk (~200 MB)
 RECORD_BUDGET = 1 << 14  # max buffered doubles of recorded y - x per chunk (128 KB)
-# a second thread pays for itself only on batches this large: the per-step
-# numpy calls of smaller ones are too short to overlap under the interpreter lock
-PATHS_PER_THREAD = 2048
+# a second thread pays for itself only from about twice this many paths: on
+# fewer, the per-step numpy calls are too short to overlap under the
+# interpreter lock (2 cores, 4096 paths: 0.6-1.1x one thread's speed)
+PATHS_PER_THREAD = 4096
 
 
 @dataclass
@@ -367,6 +368,9 @@ def run_paths(
         raise DomainError("step size and horizon must be positive")
     if max(hs) > t_final:
         raise DomainError(f"step size {max(hs)} exceeds the horizon {t_final}")
+    for name, count in (("n_paths", n_paths), ("record_stride", record_stride), ("threads", threads)):
+        if count is not None and (isinstance(count, bool) or not isinstance(count, numbers.Integral)):
+            raise DomainError(f"{name} must be an integer, got {count!r}")
     if n_paths < 1:
         raise DomainError("need at least one path")
     seeds = (seed,) * len(hs) if np.ndim(seed) == 0 else tuple(seed)

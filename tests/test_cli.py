@@ -199,7 +199,14 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("paths, threads", [(100, 1), (5000, min(2, os.cpu_count() or 1))])
+    @pytest.mark.parametrize(
+        "paths, threads",
+        [
+            (100, 1),
+            (2 * simulate.PATHS_PER_THREAD - 1, 1),
+            (2 * simulate.PATHS_PER_THREAD, min(2, os.cpu_count() or 1)),
+        ],
+    )
     def test_default_threads_follow_the_batch_size(self, tmp_path, monkeypatch, paths, threads):
         # run_paths picks the default, so count the chunks it runs
         chunks = []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import smallmat as sm
@@ -54,6 +56,18 @@ def _random_pairs(rng, n):
     y = rng.standard_normal((n, 3))
     y /= np.linalg.norm(y, axis=-1, keepdims=True)
     return x, y
+
+
+def _assert_rows_keep_their_bits(call, common, *arrays):
+    """``call(*arrays)`` and ``call`` on the ``common`` rows alone agree bitwise
+    on those rows, and each row of the batch is bitwise its own 1-row call:
+    rows that take a rare branch leave every other row alone."""
+    out = call(*arrays)
+    alone = call(*(a[common] for a in arrays))
+    assert out[common].tobytes() == alone.tobytes()
+    for i in range(len(arrays[0])):
+        assert out[i].tobytes() == call(*(a[i : i + 1] for a in arrays))[0].tobytes()
+    return out
 
 
 def step_many(strategy, x0, y0, n_paths, h, n_steps, seed=0):
@@ -127,6 +141,26 @@ class TestMirror:
         glued = state.cache["glued"]
         assert np.any(glued)
         assert np.array_equal(state.x[glued], state.y[glued])
+
+    def test_glued_rows_leave_the_others_alone(self):
+        # pairs 1e-3 apart cross the mirror plane in one step of 1e-2, pairs
+        # 2 apart do not; row 5 is glued already and must stay glued
+        rng = np.random.default_rng(12)
+        x = np.broadcast_to(S2.base_point(), (8, 3)).copy()
+        y = np.stack([S2.point_at_distance(r) for r in (2.0, 1e-3, 2.0, 1e-3, 2.0, 2.0, 1e-3, 2.0)])
+        gp = rng.standard_normal((8, 3))
+        was_glued = np.arange(8) == 5
+        strategy = make_strategy("mirror-s2", S2)
+
+        def move(x, y, gp, was_glued):
+            x_new, y_new, cache = strategy.move(x, y, gp, None, 1e-2, {"glued": was_glued})
+            return np.stack([x_new, y_new, np.broadcast_to(cache["glued"][:, None], x_new.shape)], axis=1)
+
+        glued = move(x, y, gp, was_glued)[:, 2, 0] == 1.0
+        assert glued[5] and 2 <= np.count_nonzero(glued) < 7
+        out = _assert_rows_keep_their_bits(move, ~glued, x, y, gp, was_glued)
+        assert out[glued, 1].tobytes() == out[glued, 0].tobytes()
+        assert np.all(np.any(out[~glued, 1] != out[~glued, 0], axis=-1))
 
     def test_reflection_preserves_distance_before_meeting(self):
         # x and its mirror image stay mirror images: distance follows the plane
@@ -321,6 +355,34 @@ class TestFixedDistance:
         for row in range(50):
             expected = rodrigues_rotation(x[row], y[row]) @ v[row]
             assert np.max(np.abs(batched[row] - expected)) < 1e-10
+
+    def test_rodrigues_rare_rows_leave_the_others_alone(self):
+        from smallmat import rodrigues_rotation
+
+        rng = np.random.default_rng(27)
+        x, _ = _random_pairs(rng, 12)
+        x[7], x[9] = np.eye(3)[1:]  # x.y = 1 and -1 exactly at the exact limits
+        # angles: general (x.y > -0.5), far (x.y < -0.5; the last one within
+        # 1e-9 of antipodal, where 1/(1+c) loses seven digits), then the +I and
+        # -I limits, each at the exact point and a hair off it
+        angles = [0.3, 1.0, 1.5, 2.2, 2.5, 3.0, np.pi - 4.5e-5, 0.0, 1e-7, np.pi, np.pi - 1e-7, 0.7]
+        side = np.cross(x, rng.standard_normal((12, 3)))
+        side /= np.linalg.norm(side, axis=-1, keepdims=True)
+        y = np.cos(angles)[:, None] * x + np.sin(angles)[:, None] * side
+        y[7], y[9] = x[7], -x[9]
+        c = np.sum(x * y, axis=1)
+        general, far = [0, 1, 2, 11], [3, 4, 5, 6]
+        assert np.all(c[general] > -0.5) and np.all((c[far] < -0.5) & (c[far] > -1.0 + 1e-12))
+        assert np.all(c[[7, 8]] >= 1.0 - 1e-12) and np.all(c[[9, 10]] <= -1.0 + 1e-12)
+        v = rng.standard_normal((12, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nor does an exact antipode divide by 0
+            out = _assert_rows_keep_their_bits(_rodrigues_apply, general, x, y, v)
+        assert out[[7, 8]].tobytes() == v[[7, 8]].tobytes()
+        assert out[[9, 10]].tobytes() == (-v[[9, 10]]).tobytes()
+        for row in general + far:
+            expected = rodrigues_rotation(x[row], y[row]) @ v[row]
+            assert np.max(np.abs(out[row] - expected)) < 1e-12
 
     @pytest.mark.parametrize("rho0", [1e-3, 1e-4, 3e-5])
     def test_small_start_distance_stays_fixed(self, rho0):
@@ -624,6 +686,25 @@ class TestRotationNoiseMap:
         assert np.max(np.abs(xi - expected)) < 1e-15
         ref_xi, ref_eta = sm.rotation_noise_tangents(space, x, y, gp, np.zeros(1))
         assert np.max(np.abs(xi - ref_xi)) < 1e-15
+
+    @pytest.mark.parametrize("space", [S2, ModelSpace.sphere(3), ModelSpace.hyperbolic(3), ModelSpace.euclidean(3)])
+    def test_identity_branch_rows_leave_the_others_alone(self, space):
+        # rows 2 and 5 are canonical pairs (a degenerate Householder)
+        strategy = RotationCoupling(space, alpha_override=0.9)
+        rng = np.random.default_rng(8)
+        pole = np.broadcast_to(space.base_point(), (7, space.ambient_dim))
+        x = _geodesic_points(space, pole, rng, 0.1, 1.0)
+        y = _geodesic_points(space, x, rng, 0.2, 1.0)
+        x[[2, 5]], y[[2, 5]] = space.base_point(), space.point_at_distance(0.6)
+        gap = _householder_gap(space, x, y)
+        assert np.all(gap[[2, 5]] == 0.0) and np.all(gap[[0, 1, 3, 4, 6]] > 1e-3)
+        gp = rng.standard_normal((7, strategy.primary_dim))
+
+        def move(x, y, gp):
+            return np.stack(strategy.move(x, y, gp, None, 1e-3, {})[:2], axis=1)
+
+        out = _assert_rows_keep_their_bits(move, [0, 1, 3, 4, 6], x, y, gp)
+        assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("call", ["noise_tangents", "move"])
     def test_degenerate_inputs_raise(self, call):

@@ -38,6 +38,8 @@ CASES = {
     "mirror-s2": ("sphere:2", "mirror-s2", {}, 1.0),
     "extrinsic-contract-s2": ("sphere:2", "extrinsic-contract-s2", {}, 1.0),
     "extrinsic-expand-s2": ("sphere:2", "extrinsic-expand-s2", {}, 1.0),
+    # x.y = cos 2.5 < -0.5: the first steps take the two-reflection rotation
+    "extrinsic-contract-s2-far": ("sphere:2", "extrinsic-contract-s2", {}, 2.5),
     "fixed-s2": ("sphere:2", "fixed-s2", {}, 1.0),
     "rotation": ("sphere:2", "rotation", {"k": 0.5}, 1.0),
     "rotation-sphere3": ("sphere:3", "rotation", {"k": 1.0}, 1.0),

@@ -504,6 +504,15 @@ def test_start_outside_the_stop_domain_is_rejected():
         {"seed": (1, np.True_), "h": (4e-3, 2e-3)},
         {"seed": (1, 2, 3), "h": (4e-3, 2e-3)},
         {"seed": (1,), "h": (4e-3, 2e-3)},
+        # counts: range() raised a bare TypeError on 4.5, 1.5 and 2.5, and
+        # True ran as 1
+        {"n_paths": 4.5},
+        {"n_paths": True},
+        {"n_paths": np.float64(4.0)},
+        {"threads": 1.5},
+        {"threads": True},
+        {"record_stride": 2.5},
+        {"record_stride": np.True_},
     ],
 )
 def test_bad_sampling_arguments_are_rejected(monkeypatch, kwargs):

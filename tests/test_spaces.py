@@ -130,6 +130,22 @@ class TestExpLog:
             assert space.distance(back, q) < 1e-9
 
 
+    @pytest.mark.parametrize("space", [s for s in SPACES if s.curvature != 0])
+    def test_zero_length_rows_stay_put_among_moving_rows(self, space):
+        # the points sit a hair off the constraint, so an exponential that
+        # renormalized a zero step would move their bits
+        rng = np.random.default_rng(41)
+        x = np.stack([random_point(space, rng) for _ in range(6)]) * (1.0 + 1e-12)
+        u = space.project_tangent(x, 0.3 * rng.standard_normal(x.shape))
+        still, moving = [1, 4], [0, 2, 3, 5]
+        u[still] = 0.0
+        out = space.exp_tangent(x, u)
+        assert out[still].tobytes() == x[still].tobytes()
+        assert out[moving].tobytes() == space.exp_tangent(x[moving], u[moving]).tobytes()
+        for i in range(len(x)):
+            assert out[i].tobytes() == space.exp_tangent(x[i : i + 1], u[i : i + 1])[0].tobytes()
+
+
 class TestParallelTransport:
     @pytest.mark.parametrize("space", SPACES)
     def test_geodesic_tangent_maps_to_tangent(self, space):
