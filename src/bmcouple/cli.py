@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--paths", type=int, help="number of Monte Carlo paths")
     sim.add_argument("--seed", type=int, help=f"base seed (default from ${SEED_ENV_VAR} or 0)")
     sim.add_argument("--record-stride", type=int, dest="record_stride")
-    sim.add_argument("--threads", type=int, help=f"worker threads, which set only the speed (default: one per {PATHS_PER_THREAD} paths, up to the CPU count; a second thread paid off from about {2 * PATHS_PER_THREAD} paths)")
+    sim.add_argument("--threads", type=int, help=f"worker threads, which set only the speed (default: one per {PATHS_PER_THREAD} paths, up to the CPU count; on a 2-core host two threads gained on most strategies from {2 * PATHS_PER_THREAD} paths, never on translation)")
     sim.add_argument("--law", help="optional closed-form law to compare against")
     sim.add_argument("--out", help="output directory (default: current)")
 

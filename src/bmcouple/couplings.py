@@ -219,8 +219,7 @@ class MirrorS2(Sphere2Strategy):
         # mirror plane was crossed during this step
         crossed = rowsum(x_new * normal) < 0.0
         glued_new = glued | crossed
-        if glued_new.any():
-            y_new = np.where(glued_new[:, None], x_new, y_new)
+        np.copyto(y_new, x_new, where=glued_new[:, None])
         return x_new, y_new, {"glued": glued_new}
 
 
@@ -636,9 +635,8 @@ class RotationCoupling(CouplingStrategy):
             coef[1:] += u[2:]
         w0 = 1.0 - coef[0]
         w2 = w0 * w0 + rowdot(coef[1:].T, coef[1:].T)
-        # a degenerate Householder (w2 ~ 0) is the identity; without one, 2 / w2
-        regular = w2 > 1e-24  # is bitwise the clamped quotient
-        two_w2 = 2.0 / w2 if regular.all() else np.where(regular, 2.0 / np.maximum(w2, 1e-300), 0.0)
+        # a degenerate Householder (w2 ~ 0) is the identity
+        two_w2 = np.divide(2.0, w2, out=np.zeros_like(w2), where=w2 > 1e-24)
 
         # the perpendicular noise, then its pairs turned by alpha (the drive
         # dimension is odd, so they pair up); an even dimension drops the

@@ -25,10 +25,16 @@ from .errors import DomainError
 NOISE_WINDOW = 256  # max steps of noise pre-generated per path chunk
 NOISE_BUDGET = 25_000_000  # max pre-generated doubles per chunk (~200 MB)
 RECORD_BUDGET = 1 << 14  # max buffered doubles of recorded y - x per chunk (128 KB)
-# a second thread pays for itself only from about twice this many paths: on
-# fewer, the per-step numpy calls are too short to overlap under the
-# interpreter lock (2 cores, 4096 paths: 0.6-1.1x one thread's speed)
+# per-step numpy calls on small batches are too short to overlap under the
+# interpreter lock.  On a 2-core host two threads ran at 0.6-1.1x one
+# thread's speed at 4096 paths on all but so3-flow, and gained on most
+# strategies from 8192 paths, never on translation; more cores were not measured
 PATHS_PER_THREAD = 4096
+
+
+def _integral(value) -> bool:
+    """An integer count or seed: numpy integers count, bools do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -369,14 +375,14 @@ def run_paths(
     if max(hs) > t_final:
         raise DomainError(f"step size {max(hs)} exceeds the horizon {t_final}")
     for name, count in (("n_paths", n_paths), ("record_stride", record_stride), ("threads", threads)):
-        if count is not None and (isinstance(count, bool) or not isinstance(count, numbers.Integral)):
+        if count is not None and not _integral(count):
             raise DomainError(f"{name} must be an integer, got {count!r}")
     if n_paths < 1:
         raise DomainError("need at least one path")
     seeds = (seed,) * len(hs) if np.ndim(seed) == 0 else tuple(seed)
     if (np.ndim(seed) and np.ndim(h) == 0) or len(seeds) != len(hs):
         raise DomainError(f"need one seed, or with a tuple of {len(hs)} step sizes one per step size; got {seed!r}")
-    if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in seeds):
+    if not all(map(_integral, seeds)):
         raise DomainError(f"seeds must be integers, got {seed!r}")
     if threads is None:
         threads = min(max(1, n_paths // PATHS_PER_THREAD), os.cpu_count() or 1)

@@ -234,9 +234,7 @@ class ModelSpace:
         ndim = max(x.ndim, u.ndim)
         x, u = _coords_first(x, ndim), _coords_first(u, ndim)
         out = self._exp_unit_rows(x, u / np.maximum(s, 1e-300), s)
-        moving = s > 0.0
-        if not moving.all():
-            np.copyto(out, x, where=~moving)
+        np.copyto(out, x, where=~(s > 0.0))
         return _coords_last(out)
 
     def log_map(self, p, q) -> np.ndarray:
