@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .acceptance import SUITES
-from .couplings import FEASIBLE_COS_TOL, make_strategy, rotation_angle_cos
+from .couplings import FEASIBLE_COS_TOL, STRATEGIES, make_strategy, rotation_angle_cos
 from .errors import (
     ConjugatePointError,
     CouplingConstraintError,
@@ -55,7 +56,7 @@ class SimConfig:
     paths: int = 100
     seed: int = 0
     record_stride: int = 1
-    threads: int | None = None  # None: run_paths picks one per PATHS_PER_THREAD paths, up to the CPU count
+    threads: int | None = None  # None: run_paths picks one per crossover of paths, up to the CPU count
     law: str | None = None
     out: str | None = None
 
@@ -249,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--space", help="space as kind:dim, e.g. sphere:2")
     sim.add_argument("--strategy", help="strategy id")
     sim.add_argument("--rho0", type=float, help="starting geodesic distance")
-    sim.add_argument("--x0", help="explicit first start point, comma-separated coordinates")
-    sim.add_argument("--y0", help="explicit second start point (overrides --rho0 placement)")
+    sim.add_argument("--x0", help="explicit first start point, comma-separated coordinates (--x0=-1,0,0 works too)")
+    sim.add_argument("--y0", help="explicit second start point (overrides --rho0 placement; also --y0=-0.6,0.8,0)")
     sim.add_argument("--k", type=float, help="target exponential rate (rotation strategy)")
     sim.add_argument("--alpha-override", type=float, dest="alpha_override")
     sim.add_argument("--eps", type=float, help="patching threshold (enables the regime machine)")
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--paths", type=int, help="number of Monte Carlo paths")
     sim.add_argument("--seed", type=int, help=f"base seed (default from ${SEED_ENV_VAR} or 0)")
     sim.add_argument("--record-stride", type=int, dest="record_stride")
-    sim.add_argument("--threads", type=int, help=f"worker threads, which set only the speed (default: one per {PATHS_PER_THREAD} paths, up to the CPU count; on a 2-core host two threads gained on most strategies from {2 * PATHS_PER_THREAD} paths, never on translation)")
+    sim.add_argument("--threads", type=int, help=f"worker threads, which set only the speed (default: one per {PATHS_PER_THREAD} paths, {STRATEGIES['so3-flow'].paths_per_thread} for so3-flow and one thread for translation, up to the CPU count; threads with fewer paths than that take turns to step while the others draw their noise: on a 2-core host at {PATHS_PER_THREAD} paths two such threads took 0.8-1.3x one thread's time, and stepping at once 1.0-1.5x)")
     sim.add_argument("--law", help="optional closed-form law to compare against")
     sim.add_argument("--out", help="output directory (default: current)")
 
@@ -269,9 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     tab = sub.add_parser("table", help="emit a comparison table")
     tab.add_argument("kind", choices=["drift-identity", "feasibility", "law-ladder"])
     tab.add_argument("--format", choices=["csv", "md"], default="csv")
-    tab.add_argument("--k-grid", default="-2,-1,-0.5,0,0.5,1,2", dest="k_grid")
+    tab.add_argument("--k-grid", default="-2,-1,-0.5,0,0.5,1,2", dest="k_grid", help="comma-separated curvatures (--k-grid=-2,-1,0 works too)")
     tab.add_argument("--rho-grid", default="0.25,0.5,1,2", dest="rho_grid")
     tab.add_argument("--paths", type=int, default=50)
+    # an argument that starts with a minus sign and a digit, such as the value in
+    # "--y0 -0.6,0.8,0", is a value, not a flag; argparse's own rule takes only plain numbers
+    for command in (sim, tab):
+        command._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -7,12 +7,14 @@ paths are chunked over worker threads.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import math
 import mmap
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -25,10 +27,15 @@ from .errors import DomainError
 NOISE_WINDOW = 256  # max steps of noise pre-generated per path chunk
 NOISE_BUDGET = 25_000_000  # max pre-generated doubles per chunk (~200 MB)
 RECORD_BUDGET = 1 << 14  # max buffered doubles of recorded y - x per chunk (128 KB)
-# per-step numpy calls on small batches are too short to overlap under the
-# interpreter lock.  On a 2-core host two threads ran at 0.6-1.1x one
-# thread's speed at 4096 paths on all but so3-flow, and gained on most
-# strategies from 8192 paths, never on translation; more cores were not measured
+# The crossover: the paths a chunk needs before it pays to step it at once
+# with others, unless the strategy sets its own (``paths_per_thread``).  It
+# sets the default thread count, and smaller chunks take turns to step while
+# the others fill their noise.  Per-step numpy calls on small batches are too
+# short to overlap under the interpreter lock; Philox fills release it.  On a
+# 2-core host at 4096 paths, two threads stepping at once took 1.0-1.5x one
+# thread's time on all but so3-flow, taking turns 0.8-1.3x; at 8192 paths at
+# once 0.7-0.9x, level with turns or ahead, on all but translation (1.1-1.2x).
+# More cores were not measured
 PATHS_PER_THREAD = 4096
 
 
@@ -169,7 +176,8 @@ class _Recorder:
             self.flushed = self.pos
 
 
-def _run_chunk(strategy, x0, y0, hs, n_steps, seeds, path_ids, record_idx, snapshot_idx, stop=None):
+def _run_chunk(strategy, x0, y0, hs, n_steps, seeds, path_ids, record_idx, snapshot_idx, stop=None,
+               turn=contextlib.nullcontext()):
     """Step the paths ``path_ids`` of one run (one worker thread's share) at
     each step size of ``hs``; ``n_steps``, ``seeds``, ``record_idx`` and
     ``snapshot_idx`` hold one entry per step size, and ``x0`` and ``y0`` are
@@ -202,6 +210,9 @@ def _run_chunk(strategy, x0, y0, hs, n_steps, seeds, path_ids, record_idx, snaps
     the working state; the working state is written back only at the record
     and snapshot steps of the others.  The stop function is called once per
     point and step; its values at a step's end serve the next step.
+
+    ``turn`` is held while each window is stepped, and not while its noise
+    is filled: the run's lock, where chunks take turns, or a null context.
     """
     n, m = len(path_ids), len(hs)
     # row j n + p starts from start set j, or from path p's own start or the one start
@@ -266,41 +277,42 @@ def _run_chunk(strategy, x0, y0, hs, n_steps, seeds, path_ids, record_idx, snaps
             stream.standard_normal(out=block[row])
             if later:
                 stream.tell(positions[sid])
-        for i in range(window):
-            drawn = block[:, i] if sel is None else block[sel, i]
-            noise = StepNoise(primary=drawn[:, :p_dim], auxiliary=drawn[:, p_dim:] if a_dim else None)
-            new = strategy.step(work, noise, h)
-            ended = None
-            if stop is not None:
-                ended, f = _stop_at_crossing(strategy.space, stop, work, new, f)
-            if work is state:
-                state = new
-            work = new
-            step += 1
-            if step in ends:
-                ended = last == step if ended is None else ended | (last == step)
-            if ended is not None and ended.any():
-                hit, keep = np.flatnonzero(ended), np.flatnonzero(~ended)
-                if work is not state:
-                    _put(state, rows[hit], work, hit)
-                work, rows, sel = _take(work, keep), rows[keep], keep if sel is None else sel[keep]
+        with turn:
+            for i in range(window):
+                drawn = block[:, i] if sel is None else block[sel, i]
+                noise = StepNoise(primary=drawn[:, :p_dim], auxiliary=drawn[:, p_dim:] if a_dim else None)
+                new = strategy.step(work, noise, h)
+                ended = None
                 if stop is not None:
-                    f = (f[0][keep], f[1][keep])
-                if m == 1:
-                    parts = [None]
-                else:
-                    h, last = h[keep], last[keep]
-                    bounds = np.searchsorted(rows, np.arange(m + 1) * n).tolist()
-                    parts = [slice(lo, hi) if hi - lo == n else None for lo, hi in zip(bounds, bounds[1:])]
-            if step == due:
-                if any(part is None and rec.next == step for rec, part in zip(recorders, parts)):
-                    _put(state, rows, work)
-                for rec, part in zip(recorders, parts):
-                    if rec.next == step:
-                        rec.record(*((state, rec.part) if part is None else (work, part)))
-                due = min(rec.next for rec in recorders)
-            if not rows.size:
-                break
+                    ended, f = _stop_at_crossing(strategy.space, stop, work, new, f)
+                if work is state:
+                    state = new
+                work = new
+                step += 1
+                if step in ends:
+                    ended = last == step if ended is None else ended | (last == step)
+                if ended is not None and ended.any():
+                    hit, keep = np.flatnonzero(ended), np.flatnonzero(~ended)
+                    if work is not state:
+                        _put(state, rows[hit], work, hit)
+                    work, rows, sel = _take(work, keep), rows[keep], keep if sel is None else sel[keep]
+                    if stop is not None:
+                        f = (f[0][keep], f[1][keep])
+                    if m == 1:
+                        parts = [None]
+                    else:
+                        h, last = h[keep], last[keep]
+                        bounds = np.searchsorted(rows, np.arange(m + 1) * n).tolist()
+                        parts = [slice(lo, hi) if hi - lo == n else None for lo, hi in zip(bounds, bounds[1:])]
+                if step == due:
+                    if any(part is None and rec.next == step for rec, part in zip(recorders, parts)):
+                        _put(state, rows, work)
+                    for rec, part in zip(recorders, parts):
+                        if rec.next == step:
+                            rec.record(*((state, rec.part) if part is None else (work, part)))
+                    due = min(rec.next for rec in recorders)
+                if not rows.size:
+                    break
         for rec in recorders:
             rec.flush()
     # once every row has stopped, later samples repeat the stop points
@@ -355,7 +367,12 @@ def run_paths(
     Path p draws the Philox stream keyed (seed, p); each worker thread builds
     one generator and moves it from stream to stream (``_run_chunk``), so
     the thread count sets only the speed.  By default it is one thread per
-    ``PATHS_PER_THREAD`` paths, at least one and at most the CPU count.
+    crossover of paths (the strategy's ``paths_per_thread``, or
+    ``PATHS_PER_THREAD``), at least one and at most the CPU count.  Chunks
+    of fewer paths than the crossover take turns: each steps a noise window
+    only while it holds the run's one lock, and fills its next window
+    without it, so one chunk's Philox fills, which release the interpreter
+    lock, overlap another's stepping.  Larger chunks step at once.
     ``x0`` and ``y0`` are one point each, one row per path, or, with a
     tuple ``h``, a (len(h), n_paths, ambient) array of start sets: set j
     starts the rows that step at ``h[j]``, so the record of each is bitwise
@@ -384,8 +401,9 @@ def run_paths(
         raise DomainError(f"need one seed, or with a tuple of {len(hs)} step sizes one per step size; got {seed!r}")
     if not all(map(_integral, seeds)):
         raise DomainError(f"seeds must be integers, got {seed!r}")
+    crossover = strategy.paths_per_thread or PATHS_PER_THREAD
     if threads is None:
-        threads = min(max(1, n_paths // PATHS_PER_THREAD), os.cpu_count() or 1)
+        threads = min(max(1, int(n_paths // crossover)), os.cpu_count() or 1)
     if record_stride < 1 or threads < 1:
         raise DomainError("record_stride and threads must be at least 1")
     n_steps = tuple(int(round(t_final / step)) for step in hs)
@@ -405,10 +423,12 @@ def run_paths(
     for j, (step, n) in enumerate(zip(hs, n_steps)):
         strategy.validate_run(*(p[j] if p.ndim == 3 else p for p in (x0, y0)), np.arange(n + 1) * step)
 
+    chunks = _chunk_ranges(n_paths, threads)
+    turn = threading.Lock() if chunks[0][1] < crossover else contextlib.nullcontext()
     jobs = []
-    for lo, hi in _chunk_ranges(n_paths, threads):
+    for lo, hi in chunks:
         starts = [p if p.ndim == 1 else p[..., lo:hi, :] for p in (x0, y0)]
-        jobs.append((strategy, *starts, hs, n_steps, seeds, range(lo, hi), record_idx, snapshot_idx, stop))
+        jobs.append((strategy, *starts, hs, n_steps, seeds, range(lo, hi), record_idx, snapshot_idx, stop, turn))
     if len(jobs) == 1:
         results = [_run_chunk(*job) for job in jobs]
     else:

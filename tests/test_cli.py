@@ -282,6 +282,17 @@ class TestSimulate:
         first = read(tmp_path / "trajectories.csv").split("\n")[1]
         assert float(first.split(",")[1]) == pytest.approx(np.pi / 2, abs=1e-12)
 
+    @pytest.mark.parametrize("form", ["spaced", "equals"])
+    def test_explicit_start_points_with_a_minus_sign(self, tmp_path, form):
+        starts = {"--x0": "-1,0,0", "--y0": "-0.6,0.8,0"}
+        flags = [part for flag, value in starts.items()
+                 for part in ([flag, value] if form == "spaced" else [f"{flag}={value}"])]
+        code = main(["simulate", "--space", "sphere:2", "--strategy", "fixed-s2", *flags, "--h", "1e-2",
+                     "--T", "0.05", "--paths", "2", "--seed", "1", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        first = read(tmp_path / "trajectories.csv").split("\n")[1]
+        assert float(first.split(",")[1]) == pytest.approx(np.arccos(0.6), abs=1e-12)
+
     def test_explicit_point_off_space_rejected(self, tmp_path):
         code = main(
             [
@@ -429,6 +440,12 @@ class TestTableCommand:
         assert main(["table", "feasibility", *grid]) == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("configuration error: ")
+
+    def test_grid_that_starts_with_a_minus_sign_may_follow_its_flag(self, capsys):
+        assert main(["table", "feasibility", "--k-grid", "-1,0,0.5", "--rho-grid", "1.0"]) == EXIT_OK
+        spaced = capsys.readouterr().out
+        assert main(["table", "feasibility", "--k-grid=-1,0,0.5", "--rho-grid", "1.0"]) == EXIT_OK
+        assert capsys.readouterr().out == spaced
 
     def test_empty_grid_is_config_error(self):
         assert main(["table", "feasibility", "--k-grid", "", "--rho-grid", "1.0"]) == EXIT_CONFIG

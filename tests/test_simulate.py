@@ -1,17 +1,33 @@
 import inspect
 import io
+import itertools
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from bmcouple import simulate
-from bmcouple.couplings import STRATEGIES, FixedDistanceS2, make_strategy
+from bmcouple.couplings import STRATEGIES, CouplingStrategy, FixedDistanceS2, RotationCoupling, make_strategy
 from bmcouple.drivers import NoiseStream, StepNoise
 from bmcouple.errors import DomainError
 from bmcouple.simulate import run_paths
 from bmcouple.spaces import ModelSpace
 
 S2 = ModelSpace.sphere(2)
+
+
+@pytest.fixture(params=["turns", "concurrent"])
+def regime(request, monkeypatch):
+    """Run the test both ways: with its chunks below their strategy's
+    crossover, where they take turns to step, and with every crossover at one
+    path, where they step concurrently."""
+    if request.param == "concurrent":
+        for cls in {CouplingStrategy, *STRATEGIES.values()}:
+            monkeypatch.setattr(cls, "paths_per_thread", 1)
+    return request.param
 
 
 def _run(threads=1, seed=42, record_stride=1):
@@ -37,7 +53,7 @@ def test_bitwise_reproducible():
     assert np.array_equal(a.regime, b.regime)
 
 
-def test_thread_count_does_not_change_results():
+def test_thread_count_does_not_change_results(regime):
     a, b = _run(threads=1), _run(threads=3)
     assert np.array_equal(a.rho, b.rho)
     for t in a.snapshots:
@@ -201,7 +217,7 @@ def _cap_run(strategy_id, n_paths, threads=1, **kwargs):
 
 
 @pytest.mark.parametrize("strategy_id", ["fixed-s2", "so3-flow"])
-def test_stopped_runs_keep_the_seed_contract(strategy_id):
+def test_stopped_runs_keep_the_seed_contract(regime, strategy_id):
     one = _cap_run(strategy_id, 100)
     free = _cap_run(strategy_id, 100, stop=None)
     n_stopped = np.count_nonzero(np.any(one.snapshots[0.8][0] != free.snapshots[0.8][0], axis=1))
@@ -222,7 +238,7 @@ def test_stopped_runs_keep_the_seed_contract(strategy_id):
         (ModelSpace.hyperbolic(3), {"alpha_override": np.pi}, 0.0, 1.0),
     ],
 )
-def test_rotation_runs_keep_the_seed_contract(space, params, rho_x, rho_y):
+def test_rotation_runs_keep_the_seed_contract(regime, space, params, rho_x, rho_y):
     strategy = make_strategy("rotation", space, **params)
     x0, y0 = space.point_at_distance(rho_x), space.point_at_distance(rho_y)
 
@@ -424,7 +440,7 @@ def _bits(record) -> list:
 
 
 @pytest.mark.parametrize("strategy_id, params", [("fixed-s2", {}), ("rotation", {"k": 0.5})])
-def test_per_path_starts_keep_the_seed_contract(strategy_id, params):
+def test_per_path_starts_keep_the_seed_contract(regime, strategy_id, params):
     """One start pair per path, at six distances: every chunk gets its own
     rows, so the records are the same bits on 1, 2 and 3 threads."""
     x0 = np.tile(S2.base_point(), (6, 1))
@@ -439,7 +455,7 @@ def test_per_path_starts_keep_the_seed_contract(strategy_id, params):
     assert _bits(runs[0]) == _bits(runs[1]) == _bits(runs[2])
 
 
-def test_one_path_chunks_keep_the_seed_contract():
+def test_one_path_chunks_keep_the_seed_contract(regime):
     # 3 paths on 3 threads: every chunk steps a lone row, whose products by
     # a matrix numpy rounds otherwise than those of a batch (broken-marginal)
     for strategy_id in STRATEGIES:
@@ -547,11 +563,23 @@ def _band_stop(p):
     return 0.4 - np.abs(p[:, -1])
 
 
+def _split(monkeypatch, chunks, n_paths=10):
+    """Give the default runs of ``n_paths`` paths ``chunks`` chunks (as many
+    as the CPUs allow), whatever their strategy's own crossover; return the
+    list that the size of each chunk run is added to."""
+    for cls in {CouplingStrategy, *STRATEGIES.values()}:
+        monkeypatch.setattr(cls, "paths_per_thread", n_paths // chunks)
+    sizes = []
+    run_chunk = simulate._run_chunk
+    monkeypatch.setattr(simulate, "_run_chunk", lambda *args: sizes.append(len(args[6])) or run_chunk(*args))
+    return sizes
+
+
 @pytest.mark.parametrize("chunks", [1, 2])
 @pytest.mark.parametrize("case", list(_tuple_cases()))
 def test_step_size_tuple_gives_each_step_size_its_record_alone(monkeypatch, case, chunks):
     strategy, space, rhos = _tuple_cases()[case]
-    monkeypatch.setattr(simulate, "PATHS_PER_THREAD", 10 // chunks)
+    sizes = _split(monkeypatch, chunks)
     y0 = np.stack([space.point_at_distance(rho) for rho in rhos])
 
     def run(h, stop=_band_stop):
@@ -570,6 +598,7 @@ def test_step_size_tuple_gives_each_step_size_its_record_alone(monkeypatch, case
         assert 0 < np.count_nonzero(np.any(record.snapshots[0.1][0] != free.snapshots[0.1][0], axis=1)) < 10
     if case == "patched-rotation":
         assert all(np.any(record.regime == 1) and np.any(record.regime == 0) for record in together)
+    assert set(sizes) == {10 // min(chunks, os.cpu_count() or 1)}
 
 
 @pytest.mark.parametrize("stop", [None, _band_stop], ids=["free", "stopped"])
@@ -578,7 +607,7 @@ def test_step_size_tuple_gives_each_step_size_its_record_alone(monkeypatch, case
 @pytest.mark.parametrize("case", ["fixed-s2", "rotation", "patched-rotation", "translation"])
 def test_start_sets_give_each_row_set_the_record_of_its_solo_run(monkeypatch, case, hs, chunks, stop):
     strategy, space, rhos = _tuple_cases()[case]
-    monkeypatch.setattr(simulate, "PATHS_PER_THREAD", 10 // chunks)
+    sizes = _split(monkeypatch, chunks)
     # windows of 7, 3 and 2 steps for 1, 2 and 3 seeds: each stream is
     # drawn in many windows, with others between them
     monkeypatch.setattr(simulate, "NOISE_WINDOW", 7)
@@ -614,6 +643,7 @@ def test_start_sets_give_each_row_set_the_record_of_its_solo_run(monkeypatch, ca
     if stop is not None:  # the stop ends some paths of each set and not others
         for record, free in zip(together, run(x0, y0, (*hs, hs[1]), seed=seeds, stop=None)):
             assert 0 < np.count_nonzero(np.any(record.snapshots[0.1][0] != free.snapshots[0.1][0], axis=1)) < 10
+    assert set(sizes) == {10 // min(chunks, os.cpu_count() or 1)}
 
 
 def test_step_size_tuple_draws_the_normals_of_its_finest_step_alone(monkeypatch):
@@ -678,7 +708,7 @@ def test_run_chunk_takes_its_path_ids_at_position_6(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_each_path_draws_its_own_stream_across_windows(monkeypatch, threads):
+def test_each_path_draws_its_own_stream_across_windows(monkeypatch, regime, threads):
     """With h = 1 the translation coupling's X is the running sum of its
     draws, so every snapshot of path p shows the stream (seed, p), drawn on
     through windows of 3 steps by the chunk's one re-keyed generator."""
@@ -707,3 +737,153 @@ def test_each_chunk_builds_one_generator(monkeypatch):
     run_paths(make_strategy("translation", flat), flat.base_point(), flat.point_at_distance(1.0), h=0.1,
               t_final=0.3, n_paths=300, seed=3, threads=3)
     assert 1 <= len(builds) <= 3
+
+
+def _within(seconds, call):
+    """What ``call()`` returned or raised, called on a helper thread; a test
+    failure if it has not returned after ``seconds``."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = call()
+        except Exception as exc:  # handed to the test, which checks its class
+            out["error"] = exc
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"the run did not return within {seconds} s"
+    return out
+
+
+class _Turn:
+    """A run's turn, wrapped to record the thread that holds it."""
+
+    def __init__(self, turn):
+        self.turn, self.holder = turn, None
+
+    def __enter__(self):
+        self.turn.__enter__()
+        self.holder = threading.get_ident()
+
+    def __exit__(self, *exc):
+        self.holder = None
+        return self.turn.__exit__(*exc)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_chunks_below_the_crossover_step_in_turns(monkeypatch, regime, threads):
+    """Below the crossover no two chunks are inside ``move`` at once: each
+    steps only while it holds the run's one turn and fills its noise windows
+    while it does not.  With the crossover at one path they step
+    concurrently.  The records are the same bits either way."""
+    monkeypatch.setattr(simulate, "NOISE_WINDOW", 4)
+    strategy = make_strategy("fixed-s2", S2)
+    turns, inside, most, moves_held, fills_held = [], [0], [0], [], []
+    count = threading.Lock()
+    run_chunk, move, fill = simulate._run_chunk, strategy.move, NoiseStream.standard_normal
+
+    def chunk(*args):
+        with count:
+            if not turns:
+                turns.append(_Turn(args[10]))
+        assert args[10] is turns[0].turn, "the chunks of one run share one turn"
+        return run_chunk(*args[:10], turns[0])
+
+    def counted_move(*args):
+        with count:
+            inside[0] += 1
+            most[0] = max(most[0], inside[0])
+        moves_held.append(turns[0].holder == threading.get_ident())
+        try:
+            time.sleep(1e-3)  # lets another chunk step now, if it may
+            return move(*args)
+        finally:
+            with count:
+                inside[0] -= 1
+
+    def counted_fill(stream, *args, **kwargs):
+        fills_held.append(turns[0].holder == threading.get_ident())
+        return fill(stream, *args, **kwargs)
+
+    def run(threads):
+        return run_paths(strategy, S2.base_point(), S2.point_at_distance(1.0), h=1e-2, t_final=0.2, n_paths=6,
+                         seed=4, record_stride=3, snapshot_times=(0.1,), threads=threads)
+
+    one = run(1)
+    monkeypatch.setattr(simulate, "_run_chunk", chunk)
+    monkeypatch.setattr(strategy, "move", counted_move)
+    monkeypatch.setattr(NoiseStream, "standard_normal", counted_fill)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        out = _within(60, lambda: run(threads))
+    finally:
+        sys.setswitchinterval(interval)
+    assert "error" not in out, out.get("error")
+    assert _bits(out["value"]) == _bits(one)
+    # 20 steps in windows of 4: each chunk moves 20 times and fills 5 windows of each of its paths
+    assert len(moves_held) == threads * 20 and len(fills_held) == 5 * 6
+    if regime == "turns":
+        assert most[0] == 1
+        assert all(moves_held) and not any(fills_held)
+        assert not turns[0].turn.locked()
+    else:
+        assert most[0] > 1
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_a_move_that_raises_in_its_turn_ends_the_run(monkeypatch, threads):
+    # the first move of the run raises while its chunk holds the turn, once
+    # every chunk has started; the others need the turn to finish, so
+    # run_paths returns only if it was let go
+    monkeypatch.setattr(simulate, "NOISE_WINDOW", 4)
+    strategy = make_strategy("fixed-s2", S2)
+    move, calls, started = strategy.move, itertools.count(), []
+    run_chunk = simulate._run_chunk
+    monkeypatch.setattr(simulate, "_run_chunk", lambda *args: started.append(1) or run_chunk(*args))
+
+    def failing(*args):
+        if next(calls) == 0:
+            deadline = time.monotonic() + 30
+            while len(started) < threads and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            raise _Boom("the first move fails")
+        return move(*args)
+
+    monkeypatch.setattr(strategy, "move", failing)
+    out = _within(60, lambda: run_paths(strategy, S2.base_point(), S2.point_at_distance(1.0), h=1e-2, t_final=0.2,
+                                        n_paths=6, seed=4, threads=threads))
+    assert isinstance(out.get("error"), _Boom)
+    assert next(calls) > 1  # the other chunks stepped on
+
+
+@pytest.mark.parametrize(
+    "strategy_id, space, n_paths, threads",
+    [
+        # so3-flow pays on two threads from chunks of 1536 paths, translation never
+        ("so3-flow", S2, 2 * 1536 - 1, 1),
+        ("so3-flow", S2, 2 * 1536, min(2, os.cpu_count() or 1)),
+        ("translation", ModelSpace.euclidean(2), 100_000, 1),
+    ],
+)
+def test_default_threads_follow_the_strategys_crossover(monkeypatch, strategy_id, space, n_paths, threads):
+    # the default crossover's thread counts are tested through the CLI (test_cli.py)
+    chunks = []
+    run_chunk = simulate._run_chunk
+    monkeypatch.setattr(simulate, "_run_chunk", lambda *args: chunks.append(len(args[6])) or run_chunk(*args))
+    run_paths(make_strategy(strategy_id, space), space.base_point(), space.point_at_distance(1.0), h=0.1, t_final=0.1,
+              n_paths=n_paths, seed=1)
+    assert len(chunks) == threads
+
+
+def test_patched_strategies_take_their_inner_strategys_crossover(monkeypatch):
+    patched = make_strategy("rotation", S2, k=-1.0, eps=0.2)
+    assert patched.paths_per_thread is None
+    monkeypatch.setattr(RotationCoupling, "paths_per_thread", 7)
+    assert patched.paths_per_thread == 7
